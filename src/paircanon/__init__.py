@@ -6,7 +6,6 @@ from .frame import (
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
-    frame_coset_check,
     invariantize,
     is_isomorphic,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "emit_weighted",
     "enumerate_group",
     "evaluate",
-    "frame_coset_check",
     "generating_set",
     "index_pair",
     "induced_pair_action",

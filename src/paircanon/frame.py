@@ -9,8 +9,8 @@ relabeling of the other, so the canonical coordinates are a complete
 isomorphism invariant.
 
 Two engines compute the same result: a brute-force minimum over all n!
-relabelings (the oracle, bounded by ``max_n``) and a prefix-pruned
-backtracking search that never materializes the group.
+relabelings (the oracle, bounded by ``max_n``) and a row-refinement search
+over the integer ranks of the weights, in which each label settles one row.
 """
 
 from __future__ import annotations
@@ -18,16 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .pairgroup import (
     DEFAULT_MAX_N,
     EdgeVector,
-    PairAction,
     VertexPermutation,
     _check_enumerable,
     _group_table,
-    act,
-    induced_pair_action,
 )
 
 
@@ -83,85 +81,100 @@ def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> Cano
 
 
 def canonical_form_pruned(x: EdgeVector) -> CanonResult:
-    """Backtracking canonizer; agrees bit-exactly with the brute-force engine.
+    """Row-refinement canonizer; agrees bit-exactly with the brute-force engine.
 
-    Vertices receive canonical labels 1..n in order.  Once labels 1..k are
-    placed, the result entries at positions (1,2)..(1,k) are settled for every
-    completion of the branch, and they are a contiguous prefix of the full
-    vector; a branch whose settled prefix already exceeds the incumbent best
-    is discarded.  Branches tying the incumbent must be kept alive: every
-    completion that reproduces the best vector contributes one automorphism,
-    namely frame^-1 composed with the completion's relabeling.
+    Row k of the result lists the weights from the vertex labelled k+1 to those
+    labelled k+2..n.  The search state is an ordered partition of the vertices
+    without a label: rows 0..k-1 are smallest only if labels k+1..n go to the
+    cells in order, so label k+1 goes to a member of the first cell.  Choosing
+    v splits every cell by the weight to v, ascending, which settles row k.
+    Only the siblings with the smallest row k survive, and a branch whose rows
+    exceed the incumbent's is cut.  Each leaf reproducing the best vector adds
+    one automorphism: frame^-1 composed with its relabeling.  The search runs
+    on the integer ranks of the weights, with an explicit stack, and visits at
+    least one leaf per automorphism.
     """
     n = x.n
-    # weight lookup by unordered 0-based vertex pair
-    W = [[Fraction(0)] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            W[i][j] = W[j][i] = x.weights[k]
-            k += 1
+    # Fraction hashing and comparison run in Python: key by (numerator,
+    # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
+    keys = [w.as_integer_ratio() for w in x.weights]
+    levels = sorted(
+        dict(zip(keys, x.weights)).values(),
+        key=lambda w: ((w.numerator << 64) // w.denominator, w),
+    )
+    rank_of = {w.as_integer_ratio(): r for r, w in enumerate(levels)}
+    R = [[0] * n for _ in range(n)]
+    for (i, j), key in zip(combinations(range(n), 2), keys):
+        R[i][j] = R[j][i] = rank_of[key]
 
-    best: list[Fraction] | None = None
+    order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
+    rows: list[tuple[int, ...]] = [()] * (n - 1)  # rows of the current branch
+    best: list[tuple[int, ...]] | None = None  # rows of the incumbent
     minimizers: list[tuple[int, ...]] = []  # one-line images of minimizing relabelings
-    order = [0] * n  # order[a-1] = original 0-based vertex given canonical label a
-    used = [False] * n
-
-    def sigma_of_order() -> tuple[int, ...]:
-        images = [0] * n
-        for label0, v in enumerate(order):
-            images[v] = label0 + 1
-        return tuple(images)
-
-    def full_vector() -> list[Fraction]:
-        out = []
-        for a in range(n):
-            row = W[order[a]]
-            for b in range(a + 1, n):
-                out.append(row[order[b]])
-        return out
-
-    def extend(depth: int) -> None:
-        nonlocal best
-        if depth == n:
-            y = full_vector()
-            if best is None or y < best:
-                best = y
+    # (depth, vertex labelled depth, its row, cells after it, below, incumbent
+    # at push time); below: rows[:depth] < that incumbent's, or it was None
+    stack = [(0, -1, (), [list(range(n))], True, None)]
+    while stack:
+        depth, v, row, cells, below, pushed_best = stack.pop()
+        if depth:
+            order[depth - 1] = v
+            rows[depth - 1] = row
+        if pushed_best is not best:
+            # A leaf replaced the incumbent after this entry was pushed.  The
+            # leaf descends from a sibling of this entry, and kept siblings
+            # share rows[:depth], so the prefix now equals the incumbent's.
+            below = False
+        if len(cells) == n - depth:
+            # discrete: the rest of the relabeling, and so every row, is forced
+            for a, cell in enumerate(cells, start=depth):
+                order[a] = cell[0]
+            for a in range(depth, n - 1):
+                Ra = R[order[a]]
+                rows[a] = tuple(Ra[u] for u in order[a + 1 :])
+            if below or rows[depth:] < best[depth:]:
+                best = rows.copy()
                 minimizers.clear()
-                minimizers.append(sigma_of_order())
-            elif y == best:
-                minimizers.append(sigma_of_order())
-            return
-        for v in range(n):
-            if used[v]:
+            elif rows[depth:] != best[depth:]:
                 continue
-            order[depth] = v
-            if best is not None and depth >= 1:
-                # settled prefix (1,2)..(1,depth+1) vs the incumbent; the
-                # incumbent only shrinks, so cutting on a strictly greater
-                # prefix can never lose a minimizer or a tie
-                row0 = W[order[0]]
-                prune = False
-                for t in range(1, depth + 1):
-                    wt = row0[order[t]]
-                    bt = best[t - 1]
-                    if wt != bt:
-                        prune = wt > bt
-                        break
-                if prune:
+            minimizers.append(tuple(order.index(u) + 1 for u in range(n)))
+            continue
+        first, rest = cells[0], cells[1:]
+        children = []
+        for u in first:
+            Ru = R[u]
+            split = [[w for w in first if w != u]] + rest if len(first) > 1 else rest
+            child_row: list[int] = []
+            child_cells = []
+            for cell in split:
+                if len(cell) == 1:
+                    child_row.append(Ru[cell[0]])
+                    child_cells.append(cell)
                     continue
-            used[v] = True
-            extend(depth + 1)
-            used[v] = False
+                groups: dict[int, list[int]] = {}
+                for w in cell:
+                    groups.setdefault(Ru[w], []).append(w)
+                for r in sorted(groups):
+                    child_row.extend([r] * len(groups[r]))
+                    child_cells.append(groups[r])
+            children.append((tuple(child_row), u, child_cells))
+        least = min(child[0] for child in children)
+        child_below = below
+        if not below:
+            if least > best[depth]:
+                continue
+            child_below = least < best[depth]
+        for child_row, u, child_cells in children:
+            if child_row == least:
+                stack.append((depth + 1, u, child_row, child_cells, child_below, best))
 
-    extend(0)
     assert best is not None and minimizers
     frame = VertexPermutation(min(minimizers))
-    frame_inv = frame.inverse()
+    frame_inv = frame.inverse().images
     automorphisms = frozenset(
-        frame_inv.compose(VertexPermutation(images)) for images in minimizers
+        VertexPermutation(tuple(frame_inv[s - 1] for s in images)) for images in minimizers
     )
-    return CanonResult(EdgeVector(n, tuple(best)), frame, automorphisms)
+    canonical = tuple(levels[r] for best_row in best for r in best_row)
+    return CanonResult(EdgeVector(n, canonical), frame, automorphisms)
 
 
 def canonical_form(
@@ -201,22 +214,3 @@ def is_isomorphic(
         return False, None
     return True, ry.frame.inverse().compose(rx.frame)
 
-
-def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:
-    """Check the frame's defining property along one group element.
-
-    The composite frame(action.x) o action o frame(x)^-1 must fix the
-    canonical vector of x.  With a trivial stabilizer this forces exact
-    equivariance of the frame; with symmetries present it still pins the
-    frame down to the correct stabilizer coset.
-    """
-    if action.n != x.n:
-        raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
-    rx = canonical_form_pruned(x)
-    ry = canonical_form_pruned(act(action, x))
-    composite = (
-        induced_pair_action(ry.frame)
-        .compose(action)
-        .compose(induced_pair_action(rx.frame).inverse())
-    )
-    return act(composite, rx.canonical) == rx.canonical

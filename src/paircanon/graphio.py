@@ -9,8 +9,9 @@ output can be exchanged with the usual canonical-labeling tools.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .pairgroup import EdgeVector, index_pair, pair_index
+from .pairgroup import EdgeVector, pair_index
 
 _G6_HEADER = ">>graph6<<"
 
@@ -77,9 +78,8 @@ def parse_weighted(text: str) -> EdgeVector:
 def emit_weighted(x: EdgeVector) -> str:
     """Canonical text form: header plus the nonzero edges in pair order."""
     lines = [f"n {x.n}"]
-    for s, w in enumerate(x.weights, start=1):
+    for (i, j), w in zip(combinations(range(1, x.n + 1), 2), x.weights):
         if w:
-            i, j = index_pair(s, x.n)
             lines.append(f"{i} {j} {w}")
     return "\n".join(lines) + "\n"
 

@@ -255,18 +255,24 @@ def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     return EdgeVector(x.n, tuple(out))
 
 
-def _closure(gens: list[VertexPermutation], n: int) -> set[VertexPermutation]:
-    seen = {VertexPermutation.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        step = []
-        for p in frontier:
-            for g in gens:
-                q = g.compose(p)
-                if q not in seen:
-                    seen.add(q)
-                    step.append(q)
-        frontier = step
+def _closure(
+    gens: list[VertexPermutation], n: int, base: set[VertexPermutation] | None = None
+) -> set[VertexPermutation]:
+    """The group generated by gens and the group ``base`` (trivial when omitted).
+
+    Dimino's algorithm: the result grows by whole right cosets of ``base``, one
+    for each product of a coset representative and a generator not yet in it.
+    """
+    identity = VertexPermutation.identity(n)
+    base = base or {identity}
+    seen = set(base)
+    reps = [identity]
+    for r in reps:
+        for g in gens:
+            q = r.compose(g)
+            if q not in seen:
+                seen.update(h.compose(q) for h in base)
+                reps.append(q)
     return seen
 
 
@@ -276,7 +282,7 @@ def generating_set(perms: Iterable[VertexPermutation]) -> list[VertexPermutation
     Greedy: scan the elements in one-line order and keep each one not yet in
     the closure of the picks so far.  Returns [] for the trivial group.
     """
-    elements = sorted(set(perms))
+    elements = sorted(set(perms), key=lambda p: p.images)
     if not elements:
         raise ValueError("empty permutation collection")
     n = elements[0].n
@@ -286,5 +292,5 @@ def generating_set(perms: Iterable[VertexPermutation]) -> list[VertexPermutation
         if p in closed:
             continue
         gens.append(p)
-        closed = _closure(gens, n)
+        closed = _closure(gens, n, closed)
     return gens

@@ -3,6 +3,8 @@
 Everything here goes through symmetric adjacency matrices and raw index
 arithmetic, deliberately avoiding the package's position-permutation
 machinery, so agreement is a real cross-check rather than a tautology.
+The one exception is :func:`frame_coset_check`, which states the frame's
+defining property in terms of the package's own canonizer and actions.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from paircanon.frame import canonical_form_pruned
+from paircanon.pairgroup import EdgeVector, PairAction, act, induced_pair_action
 
 
 def lex_pairs(n):
@@ -82,3 +87,23 @@ def random_permutation(rng: random.Random, n: int):
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return tuple(images)
+
+
+def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:
+    """Check the frame's defining property along one group element.
+
+    The composite frame(action.x) o action o frame(x)^-1 must fix the
+    canonical vector of x.  With a trivial stabilizer this forces exact
+    equivariance of the frame; with symmetries present it still pins the
+    frame down to the correct stabilizer coset.
+    """
+    if action.n != x.n:
+        raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
+    rx = canonical_form_pruned(x)
+    ry = canonical_form_pruned(act(action, x))
+    composite = (
+        induced_pair_action(ry.frame)
+        .compose(action)
+        .compose(induced_pair_action(rx.frame).inverse())
+    )
+    return act(composite, rx.canonical) == rx.canonical

@@ -38,6 +38,7 @@ from paircanon.sortframe import (
 
 from oracles import (
     all_simple_vectors,
+    frame_coset_check,
     orbit_of,
     random_permutation,
     random_rational_weights,
@@ -167,8 +168,6 @@ def test_criterion_6_completeness_on_random_pairs():
 
 
 def test_criterion_7_equivariance_and_coset_property():
-    from paircanon.frame import frame_coset_check
-
     started = time.perf_counter()
     rng = random.Random(2026)
     group = enumerate_group(5)

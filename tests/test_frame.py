@@ -8,7 +8,6 @@ from paircanon.frame import (
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
-    frame_coset_check,
     invariantize,
     is_isomorphic,
 )
@@ -23,6 +22,7 @@ from paircanon.pairgroup import (
 
 from oracles import (
     all_simple_vectors,
+    frame_coset_check,
     naive_canonical,
     orbit_of,
     random_permutation,

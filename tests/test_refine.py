@@ -1,0 +1,149 @@
+"""Checks of the row-refinement engine beyond the reach of brute force.
+
+Above n = 8 the brute-force engine cannot run, so these tests rely on
+metamorphic relations (relabel, then canonize again), automorphism groups of
+known order, generating sets frozen from an earlier release, and the absence
+of recursion in the search.
+"""
+
+import math
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from paircanon.frame import canonical_form_pruned
+from paircanon.pairgroup import (
+    EdgeVector,
+    VertexPermutation,
+    act,
+    generating_set,
+    induced_pair_action,
+    pair_index,
+)
+
+from oracles import frame_coset_check, random_permutation
+
+
+def graph(n, edges):
+    """Simple graph on 1..n with the given edges."""
+    weights = [0] * (n * (n - 1) // 2)
+    for i, j in edges:
+        weights[pair_index(min(i, j), max(i, j), n) - 1] = 1
+    return EdgeVector(n, tuple(weights))
+
+
+def cycle(n):
+    return graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def complete_bipartite(a, b):
+    return graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
+
+
+PETERSEN = graph(
+    10,
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)],
+)
+
+
+def _gnp(rng, n):
+    return EdgeVector(n, tuple(rng.randrange(2) for _ in range(n * (n - 1) // 2)))
+
+
+def _distinct(rng, n):
+    m = n * (n - 1) // 2
+    return EdgeVector(n, tuple(Fraction(v, 3) for v in rng.sample(range(-2 * m, 2 * m), m)))
+
+
+def _three_values(rng, n):
+    levels = (Fraction(-1, 3), Fraction(0), Fraction(2))
+    return EdgeVector(n, tuple(rng.choice(levels) for _ in range(n * (n - 1) // 2)))
+
+
+@pytest.mark.parametrize(
+    "family", [_gnp, _distinct, _three_values], ids=["gnp", "distinct", "three_values"]
+)
+@pytest.mark.parametrize("n", [10, 17, 25, 40])
+def test_relabeling_keeps_vector_and_group(family, n):
+    rng = random.Random(f"{family.__name__}-{n}")
+    x = family(rng, n)
+    rx = canonical_form_pruned(x)
+    for _ in range(3):
+        tau = induced_pair_action(VertexPermutation(random_permutation(rng, n)))
+        ry = canonical_form_pruned(act(tau, x))
+        assert ry.canonical == rx.canonical
+        assert ry.aut_order == rx.aut_order
+        assert frame_coset_check(x, tau)
+
+
+@pytest.mark.parametrize(
+    "x, order",
+    [
+        (cycle(12), 2 * 12),
+        (complete_bipartite(3, 5), math.factorial(3) * math.factorial(5)),
+        (PETERSEN, 120),
+        (EdgeVector.zero(7), math.factorial(7)),
+    ],
+    ids=["C12", "K3,5", "Petersen", "empty7"],
+)
+def test_known_automorphism_group_orders(x, order):
+    result = canonical_form_pruned(x)
+    assert result.aut_order == order
+    assert all(act(induced_pair_action(p), x) == x for p in result.automorphisms)
+
+
+# generating sets as printed by the prefix-pruned engine this one replaced
+FROZEN_GENERATORS = [
+    (
+        EdgeVector.zero(6),
+        [
+            (1, 2, 3, 4, 6, 5),
+            (1, 2, 3, 5, 4, 6),
+            (1, 2, 4, 3, 5, 6),
+            (1, 3, 2, 4, 5, 6),
+            (2, 1, 3, 4, 5, 6),
+        ],
+    ),
+    (
+        complete_bipartite(2, 4),
+        [
+            (1, 2, 3, 4, 6, 5),
+            (1, 2, 3, 5, 4, 6),
+            (1, 2, 4, 3, 5, 6),
+            (2, 1, 3, 4, 5, 6),
+        ],
+    ),
+    (cycle(6), [(1, 6, 5, 4, 3, 2), (2, 1, 6, 5, 4, 3)]),
+]
+
+
+@pytest.mark.parametrize("x, expected", FROZEN_GENERATORS, ids=["empty6", "K2,4", "C6"])
+def test_generators_frozen(x, expected):
+    automorphisms = sorted(canonical_form_pruned(x).automorphisms)
+    assert [g.images for g in generating_set(automorphisms)] == expected
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_does_not_recurse():
+    # on a path the partition becomes discrete only near the bottom, so the
+    # search goes about n levels deep
+    n = 150
+    x = graph(n, [(i, i + 1) for i in range(1, n)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        result = canonical_form_pruned(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.aut_order == 2
+    assert result.canonical.weights.count(1) == n - 1
