@@ -33,7 +33,6 @@ from .polyinv import (
     Monomial,
     Polynomial,
     classify_simple_graphs_n4,
-    evaluate,
     n4_generating_set,
     parse_monomial,
     reynolds,
@@ -70,7 +69,6 @@ __all__ = [
     "emit_graph6",
     "emit_weighted",
     "enumerate_group",
-    "evaluate",
     "generating_set",
     "index_pair",
     "induced_pair_action",

@@ -10,11 +10,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
-from .frame import canonical_form, is_isomorphic
+from .frame import CanonResult, canonical_form, is_isomorphic
 from .graphio import ParseError, emit_graph6, parse_graph6, parse_weighted
-from .pairgroup import DEFAULT_MAX_N, EdgeVector, GroupSizeError, generating_set
+from .pairgroup import (
+    DEFAULT_MAX_N,
+    EdgeVector,
+    GroupSizeError,
+    _check_enumerable,
+    generating_set,
+)
 from .polyinv import classify_simple_graphs_n4, parse_monomial, reynolds
 from .sortframe import PointVector, elementary_symmetric, sort_frame
 
@@ -33,11 +40,15 @@ def _values(items) -> str:
     return " ".join(str(v) for v in items)
 
 
-def cmd_canon(args: argparse.Namespace) -> int:
+def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
+    """Read the input graph and canonize it with the requested engine."""
     x = _read_graph(args.input, args.format)
-    result = canonical_form(x, engine=args.engine, max_n=args.max_n)
-    automorphisms = sorted(result.automorphisms)
-    generators = generating_set(automorphisms)
+    return x, canonical_form(x, engine=args.engine, max_n=args.max_n)
+
+
+def cmd_canon(args: argparse.Namespace) -> int:
+    x, result = _canonize(args)
+    generators = generating_set(result.automorphisms)
     if args.json:
         print(
             json.dumps(
@@ -45,7 +56,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
                     "n": x.n,
                     "canonical": [str(w) for w in result.canonical.weights],
                     "frame": list(result.frame.images),
-                    "aut_order": len(automorphisms),
+                    "aut_order": result.aut_order,
                     "aut_generators": [list(g.images) for g in generators],
                 }
             )
@@ -53,7 +64,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
     else:
         print(f"canonical {_values(result.canonical.weights)}")
         print(f"frame {_values(result.frame.images)}")
-        print(f"aut_order {len(automorphisms)}")
+        print(f"aut_order {result.aut_order}")
         for g in generators:
             print(f"aut_gen {_values(g.images)}")
     return EXIT_OK
@@ -77,15 +88,14 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
-    x = _read_graph(args.input, args.format)
-    result = canonical_form(x, engine=args.engine, max_n=args.max_n)
-    automorphisms = sorted(result.automorphisms)
+    x, result = _canonize(args)
+    automorphisms = sorted(result.automorphisms, key=lambda p: p.images)
     if args.json:
         print(
             json.dumps(
                 {
                     "n": x.n,
-                    "aut_order": len(automorphisms),
+                    "aut_order": result.aut_order,
                     "automorphisms": [list(p.images) for p in automorphisms],
                 }
             )
@@ -97,8 +107,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    x = _read_graph(args.input, args.format)
-    result = canonical_form(x, engine=args.engine, max_n=args.max_n)
+    x, result = _canonize(args)
     if args.json:
         print(json.dumps({"n": x.n, "orbit_size": result.orbit_size}))
     else:
@@ -107,8 +116,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    x = _read_graph(args.input, args.format)
-    result = canonical_form(x, engine=args.engine, max_n=args.max_n)
+    _, result = _canonize(args)
     if args.json:
         print(json.dumps({"invariants": [str(w) for w in result.canonical.weights]}))
     else:
@@ -119,6 +127,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_reynolds(args: argparse.Namespace) -> int:
     if args.n < 3:
         raise ValueError(f"need n >= 3, got {args.n}")
+    # before parse_monomial allocates one exponent slot per pair
+    _check_enumerable(args.n, args.max_n)
     m = args.n * (args.n - 1) // 2
     f = parse_monomial(args.monomial, m)
     g = reynolds(f, args.n, max_n=args.max_n)
@@ -186,7 +196,31 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_INPUT = ("input", "input path, or - for stdin")
+
+#: subcommands that read graphs: name, handler, help, positional arguments
+_GRAPH_COMMANDS = (
+    (
+        "canon",
+        cmd_canon,
+        "canonical vector, frame permutation, automorphism group",
+        (_INPUT,),
+    ),
+    (
+        "iso",
+        cmd_iso,
+        "isomorphism test with witness relabeling",
+        (("a", "first input path, or - for stdin"), ("b", "second input path")),
+    ),
+    ("aut", cmd_aut, "list all automorphisms", (_INPUT,)),
+    ("orbit", cmd_orbit, "orbit size under relabeling", (_INPUT,)),
+    ("invariants", cmd_invariants, "invariant coordinates I_1..I_m", (_INPUT,)),
+)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="paircanon",
         description="Canonical forms, automorphisms, and exact invariants of "
@@ -196,81 +230,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     out_opts = argparse.ArgumentParser(add_help=False)
     out_opts.add_argument("--json", action="store_true", help="machine-readable output")
-
-    graph_opts = argparse.ArgumentParser(add_help=False, parents=[out_opts])
-    graph_opts.add_argument(
+    format_opts = argparse.ArgumentParser(add_help=False)
+    format_opts.add_argument(
         "--format",
         choices=("weighted", "graph6"),
         default="weighted",
         help="input format (default: weighted)",
     )
-    graph_opts.add_argument(
+    engine_opts = argparse.ArgumentParser(add_help=False)
+    engine_opts.add_argument(
         "--engine",
         choices=("brute", "pruned"),
         default="pruned",
         help="canonizer engine (default: pruned)",
     )
-    graph_opts.add_argument(
+    max_n_opts = argparse.ArgumentParser(add_help=False)
+    max_n_opts.add_argument(
         "--max-n",
         type=int,
         default=DEFAULT_MAX_N,
         dest="max_n",
         help=f"limit for full group enumeration (default: {DEFAULT_MAX_N})",
     )
+    graph_opts = [out_opts, format_opts, engine_opts, max_n_opts]
+
+    for name, func, help_text, positionals in _GRAPH_COMMANDS:
+        p = sub.add_parser(name, parents=graph_opts, help=help_text)
+        for dest, arg_help in positionals:
+            p.add_argument(dest, help=arg_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
-        "canon",
-        parents=[graph_opts],
-        help="canonical vector, frame permutation, automorphism group",
-    )
-    p.add_argument("input", help="input path, or - for stdin")
-    p.set_defaults(func=cmd_canon)
-
-    p = sub.add_parser(
-        "iso", parents=[graph_opts], help="isomorphism test with witness relabeling"
-    )
-    p.add_argument("a", help="first input path, or - for stdin")
-    p.add_argument("b", help="second input path")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("aut", parents=[graph_opts], help="list all automorphisms")
-    p.add_argument("input", help="input path, or - for stdin")
-    p.set_defaults(func=cmd_aut)
-
-    p = sub.add_parser("orbit", parents=[graph_opts], help="orbit size under relabeling")
-    p.add_argument("input", help="input path, or - for stdin")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser(
-        "invariants", parents=[graph_opts], help="invariant coordinates I_1..I_m"
-    )
-    p.add_argument("input", help="input path, or - for stdin")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser(
-        "reynolds", parents=[out_opts], help="group average of a monomial"
+        "reynolds", parents=[out_opts, max_n_opts], help="group average of a monomial"
     )
     p.add_argument("monomial", help="power product, e.g. 'x1^2*x2' or 'x1 x6'")
     p.add_argument("n", type=int, help="vertex count")
-    p.add_argument(
-        "--max-n",
-        type=int,
-        default=DEFAULT_MAX_N,
-        dest="max_n",
-        help=f"limit for full group enumeration (default: {DEFAULT_MAX_N})",
-    )
     p.set_defaults(func=cmd_reynolds)
 
     p = sub.add_parser(
         "classify-n4",
-        parents=[out_opts],
+        parents=[out_opts, engine_opts],
         help="the 11 simple-graph classes on 4 vertices",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("brute", "pruned"),
-        default="pruned",
-        help="canonizer engine (default: pruned)",
     )
     p.set_defaults(func=cmd_classify_n4)
 

@@ -26,6 +26,7 @@ from .pairgroup import (
     VertexPermutation,
     _check_enumerable,
     _group_table,
+    _scatter,
 )
 
 
@@ -58,15 +59,11 @@ def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> Cano
     """Minimize over all n! relabelings; only viable within the enumeration limit."""
     _check_enumerable(x.n, max_n)
     w = x.weights
-    m = x.m
     best: tuple[Fraction, ...] | None = None
     best_images: tuple[int, ...] | None = None
     stabilizer = []
     for images, imap in _group_table(x.n):
-        out: list[Fraction | None] = [None] * m
-        for s in range(m):
-            out[imap[s] - 1] = w[s]
-        y = tuple(out)
+        y = _scatter(w, imap)
         # strict improvement only: the first minimizer seen is the one-line
         # lex-smallest because the table is in ascending one-line order
         if best is None or y < best:
@@ -136,7 +133,7 @@ def canonical_form_pruned(x: EdgeVector) -> CanonResult:
                 minimizers.clear()
             elif rows[depth:] != best[depth:]:
                 continue
-            minimizers.append(tuple(order.index(u) + 1 for u in range(n)))
+            minimizers.append(_scatter(range(1, n + 1), [u + 1 for u in order]))
             continue
         first, rest = cells[0], cells[1:]
         children = []

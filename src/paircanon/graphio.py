@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .pairgroup import EdgeVector, pair_index
+from .pairgroup import EdgeVector, _scatter, index_pair, pair_index
 
 _G6_HEADER = ">>graph6<<"
 
@@ -120,24 +120,28 @@ def _decode_g6_size(data: bytes) -> tuple[int, int]:
     return data[0] - 63, 1
 
 
+def _g6_positions(n: int) -> list[int]:
+    """Position in pair order of each graph6 bit: pairs grouped by larger endpoint."""
+    return [pair_index(i, j, n) for j in range(2, n + 1) for i in range(1, j)]
+
+
 def emit_graph6(x: EdgeVector) -> str:
     """Encode a simple graph (all weights 0 or 1) as a graph6 string.
 
     graph6 stores the adjacency bits grouped by the larger endpoint,
     (1,2),(1,3),(2,3),(1,4),..., which differs from this package's pair
-    order; the translation happens bit by bit through pair_index.
+    order; the translation goes through :func:`_g6_positions`.
     """
     n = x.n
     bits = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            w = x.weights[pair_index(i, j, n) - 1]
-            if w == 1:
-                bits.append(1)
-            elif w == 0:
-                bits.append(0)
-            else:
-                raise ValueError(f"non-simple weight {w} at edge ({i}, {j})")
+    for s in _g6_positions(n):
+        w = x.weights[s - 1]
+        if w == 1:
+            bits.append(1)
+        elif w == 0:
+            bits.append(0)
+        else:
+            raise ValueError(f"non-simple weight {w} at edge {index_pair(s, n)}")
     out = bytearray(_encode_g6_size(n))
     for start in range(0, len(bits), 6):
         group = bits[start : start + 6]
@@ -176,11 +180,5 @@ def parse_graph6(text: str) -> EdgeVector:
         bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
     if any(bits[m:]):
         raise ParseError("nonzero padding bits")
-    weights = [Fraction(0)] * m
-    k = 0
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            if bits[k]:
-                weights[pair_index(i, j, n) - 1] = Fraction(1)
-            k += 1
-    return EdgeVector(n, tuple(weights))
+    values = (Fraction(0), Fraction(1))
+    return EdgeVector(n, _scatter([values[b] for b in bits[:m]], _g6_positions(n)))

@@ -9,11 +9,10 @@ rest of the package canonizes against.  All scalars are exact rationals.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable
 
 #: Default bound on n for operations that enumerate all n! group elements.
@@ -72,10 +71,7 @@ class VertexPermutation:
         return VertexPermutation(tuple(self.images[v - 1] for v in other.images))
 
     def inverse(self) -> VertexPermutation:
-        inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return VertexPermutation(tuple(inv))
+        return VertexPermutation(_scatter(range(1, self.n + 1), self.images))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
@@ -139,15 +135,27 @@ class EdgeVector:
         return all(w == 0 or w == 1 for w in self.weights)
 
 
+def _scatter(values, index_map) -> tuple:
+    """``values`` rearranged: ``values[s]`` moves to 1-based position ``index_map[s]``.
+
+    The one way a permutation is applied in this package: to weight vectors,
+    exponent vectors, point vectors, and to 1..n to invert a permutation.
+    """
+    out = [None] * len(index_map)
+    for value, t in zip(values, index_map):
+        out[t - 1] = value
+    return tuple(out)
+
+
 def _induced_index_map(images: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Position map induced by a vertex relabeling given in one-line notation."""
-    imap = []
-    for i, j in combinations(range(1, n + 1), 2):
-        a, b = images[i - 1], images[j - 1]
-        if a > b:
-            a, b = b, a
-        imap.append(pair_index(a, b, n))
-    return tuple(imap)
+    # the pair (a, b), a < b, sits at position start[a] + b (see pair_index)
+    start = [(a - 1) * (2 * n - a) // 2 - a for a in range(n)]
+    return tuple(
+        start[a] + b if a < b else start[b] + a
+        for i, a in enumerate(images)
+        for b in images[i + 1 :]
+    )
 
 
 @dataclass(frozen=True)
@@ -155,27 +163,23 @@ class PairAction:
     """The edge-position permutation induced by relabeling vertices by `source`.
 
     ``index_map[s-1]`` is where position s lands: the position holding the
-    pair (i, j) is sent to the position of {source(i), source(j)}.
+    pair (i, j) is sent to the position of {source(i), source(j)}.  The map is
+    derived from ``source`` once, at construction.
     """
 
-    n: int
     source: VertexPermutation
-    index_map: tuple[int, ...]
+    index_map: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
-        if self.source.n != self.n:
-            raise ValueError(
-                f"source permutes 1..{self.source.n} but n={self.n}"
-            )
-        index_map = tuple(int(v) for v in self.index_map)
-        object.__setattr__(self, "index_map", index_map)
-        m = self.n * (self.n - 1) // 2
-        if sorted(index_map) != list(range(1, m + 1)):
-            raise ValueError(f"index_map is not a permutation of 1..{m}")
-        if index_map != _induced_index_map(self.source.images, self.n):
-            raise ValueError("index_map is inconsistent with the source permutation")
+        object.__setattr__(
+            self, "index_map", _induced_index_map(self.source.images, self.n)
+        )
+
+    @property
+    def n(self) -> int:
+        return self.source.n
 
     @property
     def m(self) -> int:
@@ -187,25 +191,19 @@ class PairAction:
         return self.index_map[s - 1]
 
     def compose(self, other: PairAction) -> PairAction:
-        """self after other, composing the vertex map and the position map alike."""
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        imap = tuple(self.index_map[t - 1] for t in other.index_map)
-        return PairAction(self.n, self.source.compose(other.source), imap)
+        """self after other: the action induced by self.source after other.source."""
+        return PairAction(self.source.compose(other.source))
 
     def inverse(self) -> PairAction:
-        inv = [0] * self.m
-        for s, t in enumerate(self.index_map, start=1):
-            inv[t - 1] = s
-        return PairAction(self.n, self.source.inverse(), tuple(inv))
+        return PairAction(self.source.inverse())
 
     def is_identity(self) -> bool:
-        return all(t == s for s, t in enumerate(self.index_map, start=1))
+        return self.source.is_identity()
 
 
 def induced_pair_action(sigma: VertexPermutation) -> PairAction:
     """The edge-position permutation induced by the vertex permutation sigma."""
-    return PairAction(sigma.n, sigma, _induced_index_map(sigma.images, sigma.n))
+    return PairAction(sigma)
 
 
 def _check_enumerable(n: int, max_n: int) -> None:
@@ -214,7 +212,7 @@ def _check_enumerable(n: int, max_n: int) -> None:
     if n > max_n:
         raise GroupSizeError(
             f"n={n} exceeds the enumeration limit max_n={max_n} "
-            f"({math.factorial(n)} elements); pass a larger max_n to allow it"
+            f"({n}! elements); pass a larger max_n to allow it"
         )
 
 
@@ -234,10 +232,7 @@ def _group_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 def enumerate_group(n: int, max_n: int = DEFAULT_MAX_N) -> list[PairAction]:
     """All n! induced actions, identity first, ascending by source one-line order."""
     _check_enumerable(n, max_n)
-    return [
-        PairAction(n, VertexPermutation(images), imap)
-        for images, imap in _group_table(n)
-    ]
+    return [PairAction(VertexPermutation(p)) for p in permutations(range(1, n + 1))]
 
 
 def act(action: PairAction, x: EdgeVector) -> EdgeVector:
@@ -249,10 +244,7 @@ def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     """
     if action.n != x.n:
         raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
-    out: list[Fraction | None] = [None] * x.m
-    for s, t in enumerate(action.index_map):
-        out[t - 1] = x.weights[s]
-    return EdgeVector(x.n, tuple(out))
+    return EdgeVector(x.n, _scatter(x.weights, action.index_map))
 
 
 def _closure(

@@ -22,6 +22,7 @@ from .pairgroup import (
     _check_enumerable,
     _exact,
     _group_table,
+    _scatter,
 )
 
 
@@ -152,12 +153,10 @@ class Polynomial:
                 f"action has {action.m}"
             )
         imap = action.index_map
-        moved: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            out = [0] * self.nvars
-            for s, e in enumerate(mono.exponents):
-                out[imap[s] - 1] = e
-            moved[Monomial(tuple(out))] = coeff
+        moved = {
+            Monomial(_scatter(mono.exponents, imap)): coeff
+            for mono, coeff in self.terms.items()
+        }
         return Polynomial(self.nvars, moved)
 
     def evaluate(self, x) -> Fraction:
@@ -208,10 +207,7 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
     acc: dict[Monomial, Fraction] = {}
     for _, imap in _group_table(n):
         for mono, coeff in f.terms.items():
-            out = [0] * m
-            for s, e in enumerate(mono.exponents):
-                out[imap[s] - 1] = e
-            key = Monomial(tuple(out))
+            key = Monomial(_scatter(mono.exponents, imap))
             acc[key] = acc.get(key, Fraction(0)) + coeff
     scale = Fraction(1, math.factorial(n))
     return Polynomial(m, {mono: coeff * scale for mono, coeff in acc.items()})
@@ -246,11 +242,6 @@ def simple_graph_invariants() -> list[Polynomial]:
         (1, 1, 1, 0, 0, 0),  # x1 x2 x3
     ]
     return [reynolds(Polynomial.monomial(e), 4) for e in seeds]
-
-
-def evaluate(f: Polynomial, x) -> Fraction:
-    """Module-level alias for :meth:`Polynomial.evaluate`."""
-    return f.evaluate(x)
 
 
 def classify_simple_graphs_n4() -> dict[tuple[Fraction, ...], list[EdgeVector]]:

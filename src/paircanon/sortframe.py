@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .pairgroup import VertexPermutation, _exact
+from .pairgroup import VertexPermutation, _exact, _scatter
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,7 @@ def permute_point(sigma: VertexPermutation, v: PointVector) -> PointVector:
     """Move the entry at position i to position sigma(i)."""
     if sigma.n != v.n:
         raise ValueError(f"dimension mismatch: permutation n={sigma.n}, vector n={v.n}")
-    out: list[Fraction | None] = [None] * v.n
-    for i, value in enumerate(v.values):
-        out[sigma.images[i] - 1] = value
-    return PointVector(tuple(out))
+    return PointVector(_scatter(v.values, sigma.images))
 
 
 def sort_frame(v: PointVector) -> tuple[PointVector, VertexPermutation]:
@@ -49,12 +45,9 @@ def sort_frame(v: PointVector) -> tuple[PointVector, VertexPermutation]:
     stably by (value, original position) selects the one-line-lex smallest
     of them, so the frame is deterministic.
     """
-    ranked = sorted(range(v.n), key=lambda i: (v.values[i], i))
-    images = [0] * v.n
-    for rank, i in enumerate(ranked):
-        images[i] = rank + 1
-    ordered = PointVector(tuple(v.values[i] for i in ranked))
-    return ordered, VertexPermutation(tuple(images))
+    ranked = sorted(range(1, v.n + 1), key=lambda i: (v.values[i - 1], i))
+    ordered = PointVector(tuple(v.values[i - 1] for i in ranked))
+    return ordered, VertexPermutation(_scatter(range(1, v.n + 1), ranked))
 
 
 def order_statistics(v: PointVector) -> PointVector:
@@ -63,13 +56,15 @@ def order_statistics(v: PointVector) -> PointVector:
 
 
 def elementary_symmetric(k: int, v: PointVector) -> Fraction:
-    """Sum of all k-fold products of distinct entries of v."""
+    """Sum of all k-fold products of distinct entries of v.
+
+    Computed in O(n*k) steps by the product recurrence: after the first i
+    entries, ``e[j]`` is the j-th elementary symmetric value of those entries.
+    """
     if not 1 <= k <= v.n:
         raise ValueError(f"need 1 <= k <= {v.n}, got k={k}")
-    total = Fraction(0)
-    for subset in combinations(v.values, k):
-        term = Fraction(1)
-        for value in subset:
-            term *= value
-        total += term
-    return total
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for value in v.values:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * value
+    return e[k]

@@ -89,6 +89,17 @@ def random_permutation(rng: random.Random, n: int):
     return tuple(images)
 
 
+def elementary_symmetric_by_subsets(k, values):
+    """e_k by its definition: the sum over all k-subsets of the product of entries."""
+    total = Fraction(0)
+    for subset in combinations(values, k):
+        term = Fraction(1)
+        for value in subset:
+            term *= value
+        total += term
+    return total
+
+
 def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:
     """Check the frame's defining property along one group element.
 

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from paircanon.cli import main
+import paircanon
+from paircanon.cli import build_parser, main
 from paircanon.frame import canonical_form_pruned
-from paircanon.graphio import emit_weighted, parse_graph6
+from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6
 from paircanon.pairgroup import EdgeVector, VertexPermutation, act, induced_pair_action
 
 P4_TEXT = "n 4\n1 2 1\n2 3 1\n3 4 1\n"
@@ -156,6 +162,20 @@ def test_reynolds_over_limit_exits_3(capsys):
     assert "max_n" in capsys.readouterr().err
 
 
+def test_reynolds_far_over_limit_exits_3_before_allocating(capsys):
+    # n=3000 has 4498500 pairs and 3000! has 9131 digits; neither is built
+    build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["reynolds", "x1", "3000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "max_n" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 # ------------------------------------------------------------ classify-n4
 
 
@@ -225,9 +245,49 @@ def test_size_limit_exit_3(tmp_path, capsys):
     assert "max_n" in capsys.readouterr().err
 
 
+def test_brute_size_limit_exit_3_for_huge_n(tmp_path, capsys):
+    path = write(tmp_path, "huge.txt", "n 2000\n1 2 1\n")
+    assert main(["canon", "--engine", "brute", path]) == 3
+    assert "max_n" in capsys.readouterr().err
+
+
 def test_pruned_engine_handles_n9(tmp_path, capsys):
     # all-distinct weights: trivial stabilizer, so the orbit is all of 9!
     x = EdgeVector(9, tuple(range(1, 37)))
     path = write(tmp_path, "big.txt", emit_weighted(x))
     assert main(["orbit", path]) == 0
     assert capsys.readouterr().out.strip() == "orbit_size 362880"
+
+
+# --------------------------------------------------------- parser reuse
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # one parser serves every call, so no flag or default may carry over
+    p4 = write(tmp_path, "p4.txt", P4_TEXT)
+    relabeled = act(induced_pair_action(VertexPermutation((3, 1, 4, 2))), P4)
+    other = write(tmp_path, "q4.txt", emit_weighted(relabeled))
+    star_g6 = emit_graph6(EdgeVector(4, (1, 1, 1, 0, 0, 0)))
+    star = write(tmp_path, "star.g6", star_g6 + "\n")
+    bad = write(tmp_path, "bad.txt", "n 4\n2 1 1\n")
+    calls = [
+        ["canon", "--json", p4],
+        ["canon", p4],
+        ["aut", "--format", "graph6", "--json", star],
+        ["iso", p4, other],
+        ["canon", bad],
+        ["orbit", p4],
+        ["aut", p4],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(paircanon.__file__).parents[1]))
+    for argv in calls:
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "paircanon.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

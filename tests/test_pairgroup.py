@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from paircanon import pairgroup
 from paircanon.pairgroup import (
     EdgeVector,
     GroupSizeError,
@@ -123,12 +124,23 @@ def test_induced_transposition_12_n4():
         assert tau.index_map[rank - 1] == lex_pairs(4).index((a, b)) + 1
 
 
-def test_pair_action_rejects_inconsistent_map():
+def test_pair_action_derives_its_map_from_the_source(monkeypatch):
     sigma = VertexPermutation((2, 1, 3, 4))
-    with pytest.raises(ValueError):
+    # no map can be passed in, so none can disagree with the source
+    with pytest.raises(TypeError):
         PairAction(4, sigma, (1, 2, 3, 4, 5, 6))
     with pytest.raises(ValueError):
-        PairAction(4, sigma, (1, 1, 2, 3, 4, 5))
+        PairAction(VertexPermutation((2, 1)))
+    calls = []
+    original = pairgroup._induced_index_map
+    monkeypatch.setattr(
+        pairgroup, "_induced_index_map", lambda *a: calls.append(a) or original(*a)
+    )
+    action = PairAction(sigma)
+    assert (action.n, action.m, action.index_map) == (4, 6, (1, 4, 5, 2, 3, 6))
+    assert action == induced_pair_action(sigma)
+    action.compose(action).inverse()
+    assert len(calls) == 4  # once per construction, never to re-check a map
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -191,6 +203,8 @@ def test_enumerate_group_size_errors():
         enumerate_group(9)
     with pytest.raises(GroupSizeError):
         enumerate_group(5, max_n=4)
+    with pytest.raises(GroupSizeError, match="max_n"):
+        enumerate_group(1800)  # 1800! has more digits than int-to-str allows
     assert len(enumerate_group(5, max_n=5)) == 120
 
 

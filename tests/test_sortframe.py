@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -13,7 +14,7 @@ from paircanon.sortframe import (
     sort_frame,
 )
 
-from oracles import random_permutation
+from oracles import elementary_symmetric_by_subsets, random_permutation
 
 
 def pv(*values):
@@ -93,6 +94,24 @@ def test_elementary_symmetric_values():
     assert elementary_symmetric(1, v) == 6
     assert elementary_symmetric(2, v) == 11
     assert elementary_symmetric(3, v) == 6
+
+
+def test_elementary_symmetric_matches_subset_sums():
+    rng = random.Random(113)
+    for n in range(1, 11):
+        for _ in range(4):
+            v = random_point(rng, n)
+            for k in range(1, n + 1):
+                assert elementary_symmetric(k, v) == elementary_symmetric_by_subsets(
+                    k, v.values
+                )
+
+
+def test_elementary_symmetric_of_forty_ones_is_binomial():
+    # 2^40 subsets: only a polynomial-time method finishes
+    ones = PointVector((Fraction(1),) * 40)
+    for k in range(1, 41):
+        assert elementary_symmetric(k, ones) == math.comb(40, k)
 
 
 def test_elementary_symmetric_recovered_from_order_statistics():
