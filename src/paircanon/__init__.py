@@ -1,4 +1,11 @@
-"""Exact canonization of weighted graphs under vertex relabeling."""
+"""Exact canonization of weighted graphs under vertex relabeling.
+
+The polynomial-invariant and sorting-frame modules load on first use of one
+of their names, so that importing the package for canonization does not
+compile them.
+"""
+
+from importlib import import_module
 
 from .frame import (
     CanonResult,
@@ -29,22 +36,33 @@ from .pairgroup import (
     induced_pair_action,
     pair_index,
 )
-from .polyinv import (
-    Monomial,
-    Polynomial,
-    classify_simple_graphs_n4,
-    n4_generating_set,
-    parse_monomial,
-    reynolds,
-    simple_graph_invariants,
-)
-from .sortframe import (
-    PointVector,
-    elementary_symmetric,
-    order_statistics,
-    permute_point,
-    sort_frame,
-)
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Monomial",
+            "Polynomial",
+            "classify_simple_graphs_n4",
+            "n4_generating_set",
+            "parse_monomial",
+            "reynolds",
+            "simple_graph_invariants",
+        ),
+        "polyinv",
+    ),
+    **dict.fromkeys(
+        ("PointVector", "elementary_symmetric", "order_statistics", "permute_point", "sort_frame"),
+        "sortframe",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in ("polyinv", "sortframe"):
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

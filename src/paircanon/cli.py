@@ -1,7 +1,9 @@
 """Command-line interface: canonize, compare, and evaluate invariants of graphs.
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
-parse error, 3 group-size limit exceeded.
+parse error, 3 group-size limit exceeded.  The polyinv and sortframe modules
+are imported by the commands that use them, so a graph command does not load
+them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .pairgroup import (
     _check_enumerable,
     generating_set,
 )
-from .polyinv import classify_simple_graphs_n4, parse_monomial, reynolds
-from .sortframe import PointVector, elementary_symmetric, sort_frame
 
 EXIT_OK = 0
 EXIT_NOT_ISOMORPHIC = 1
@@ -48,7 +48,7 @@ def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    generators = generating_set(result.automorphisms)
+    generators = generating_set(result.generators) if result.generators else []
     if args.json:
         print(
             json.dumps(
@@ -125,6 +125,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_reynolds(args: argparse.Namespace) -> int:
+    from .polyinv import parse_monomial, reynolds
+
     if args.n < 3:
         raise ValueError(f"need n >= 3, got {args.n}")
     # before parse_monomial allocates one exponent slot per pair
@@ -140,6 +142,8 @@ def cmd_reynolds(args: argparse.Namespace) -> int:
 
 
 def cmd_classify_n4(args: argparse.Namespace) -> int:
+    from .polyinv import classify_simple_graphs_n4
+
     classes = classify_simple_graphs_n4()
     rows = []
     for key, members in classes.items():
@@ -169,6 +173,8 @@ def cmd_classify_n4(args: argparse.Namespace) -> int:
 
 
 def cmd_sortframe_demo(args: argparse.Namespace) -> int:
+    from .sortframe import PointVector, elementary_symmetric, sort_frame
+
     tokens = args.vector.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty vector")

@@ -3,49 +3,98 @@
 The canonical form of a weight vector is the lexicographically smallest
 vector among all its relabelings.  Alongside it we report a frame: the
 relabeling that reaches the minimum, made unique by picking the smallest
-minimizer in one-line notation, plus the full automorphism group of the
-input.  Two vectors have equal canonical forms exactly when one is a
-relabeling of the other, so the canonical coordinates are a complete
-isomorphism invariant.
+minimizer in one-line notation, plus the automorphism group Aut of the
+input.  The minimizers form the coset frame.Aut, so the frame is fixed once
+Aut is known: it is the coset's smallest element, found base point by base
+point on Aut's stabilizer chain.  Two vectors have equal canonical forms
+exactly when one is a relabeling of the other, so the canonical coordinates
+are a complete isomorphism invariant.
 
 Two engines compute the same result: a brute-force minimum over all n!
 relabelings (the oracle, bounded by ``max_n``) and a row-refinement search
 over the integer ranks of the weights, in which each label settles one row.
+The search records the automorphisms it meets and prunes with them, so it
+visits far fewer leaves than |Aut|; Aut is held as a Schreier-Sims chain and
+enumerated only on request, up to ``max_n``! elements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .pairgroup import (
     DEFAULT_MAX_N,
     EdgeVector,
+    GroupSizeError,
     VertexPermutation,
+    _Chain,
     _check_enumerable,
     _group_table,
     _scatter,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonResult:
-    """Canonical vector, one relabeling reaching it, and the input's stabilizer."""
+    """Canonical vector, the frame reaching it, and the input's stabilizer Aut.
+
+    Aut is held as a stabilizer chain (``None`` for the trivial group).  Two
+    results are equal when their vectors, frames and groups are.
+    """
 
     canonical: EdgeVector
     frame: VertexPermutation
-    automorphisms: frozenset[VertexPermutation]
+    chain: _Chain | None = field(repr=False)
+    max_n: int = DEFAULT_MAX_N
 
     @property
     def aut_order(self) -> int:
-        return len(self.automorphisms)
+        return self.chain.order if self.chain else 1
 
     @property
     def orbit_size(self) -> int:
         """Number of distinct relabelings of the input (orbit-stabilizer)."""
-        return math.factorial(self.canonical.n) // len(self.automorphisms)
+        return math.factorial(self.canonical.n) // self.aut_order
+
+    @cached_property
+    def generators(self) -> tuple[VertexPermutation, ...]:
+        """Strong generators of Aut; () for the trivial group."""
+        if self.chain is None:
+            return ()
+        return tuple(VertexPermutation(tuple(v + 1 for v in s)) for s, _ in self.chain.gens[0])
+
+    @cached_property
+    def automorphisms(self) -> frozenset[VertexPermutation]:
+        """Every automorphism, enumerated on first use; at most max_n! of them."""
+        if self.chain is None:
+            return frozenset({VertexPermutation.identity(self.canonical.n)})
+        # Aut has at most n! elements, so a limit of n or more never binds
+        n = self.canonical.n
+        if self.max_n < n and self.aut_order > math.factorial(max(self.max_n, 0)):
+            raise GroupSizeError(
+                f"the automorphism group has more than {self.max_n}! elements "
+                f"(enumeration limit max_n={self.max_n}); pass a larger max_n to allow it"
+            )
+        return frozenset(
+            VertexPermutation(tuple(v + 1 for v in a)) for a in self.chain.elements()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, CanonResult):
+            return NotImplemented
+        return (
+            self.canonical == other.canonical
+            and self.frame == other.frame
+            and self.aut_order == other.aut_order
+            and all(tuple(v - 1 for v in g.images) in self.chain for g in other.generators)
+        )
+
+    def __hash__(self):
+        return hash((self.canonical, self.frame))
 
 
 @dataclass(frozen=True)
@@ -53,6 +102,27 @@ class InvariantVector:
     """Coordinates of the canonical representative; separates isomorphism classes."""
 
     values: tuple[Fraction, ...]
+
+
+def _result(
+    x: EdgeVector, canonical, frame, automorphisms: list[tuple[int, ...]], max_n: int
+) -> CanonResult:
+    """The result for a frame and automorphisms, both 0-based image tuples.
+
+    With no automorphism the group is trivial and ``frame`` is the only
+    minimizer; otherwise the frame is the smallest element of frame.Aut.
+    """
+    if not automorphisms:
+        chain = None
+    else:
+        chain = _Chain(x.n, automorphisms)
+        frame = chain.coset_min(frame)
+    return CanonResult(
+        EdgeVector._from_exact(x.n, canonical),
+        VertexPermutation(tuple(v + 1 for v in frame)),
+        chain,
+        max_n,
+    )
 
 
 def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
@@ -69,16 +139,14 @@ def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> Cano
         if best is None or y < best:
             best, best_images = y, images
         if y == w:
-            stabilizer.append(images)
-    return CanonResult(
-        EdgeVector(x.n, best),
-        VertexPermutation(best_images),
-        frozenset(VertexPermutation(p) for p in stabilizer),
-    )
+            stabilizer.append(tuple(v - 1 for v in images))
+    # the identity comes first in the table
+    return _result(x, best, tuple(v - 1 for v in best_images), stabilizer[1:], max_n)
 
 
-def canonical_form_pruned(x: EdgeVector) -> CanonResult:
-    """Row-refinement canonizer; agrees bit-exactly with the brute-force engine.
+def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
+    """Row-refinement canonizer with automorphism pruning; agrees bit-exactly
+    with the brute-force engine.
 
     Row k of the result lists the weights from the vertex labelled k+1 to those
     labelled k+2..n.  The search state is an ordered partition of the vertices
@@ -86,10 +154,16 @@ def canonical_form_pruned(x: EdgeVector) -> CanonResult:
     cells in order, so label k+1 goes to a member of the first cell.  Choosing
     v splits every cell by the weight to v, ascending, which settles row k.
     Only the siblings with the smallest row k survive, and a branch whose rows
-    exceed the incumbent's is cut.  Each leaf reproducing the best vector adds
-    one automorphism: frame^-1 composed with its relabeling.  The search runs
-    on the integer ranks of the weights, with an explicit stack, and visits at
-    least one leaf per automorphism.
+    exceed the incumbent's is cut.
+
+    A leaf whose rows equal the incumbent's gives an automorphism g, with
+    g(incumbent's order[a]) = order[a].  The search then returns to the node
+    where this leaf's path left the incumbent's: the subtree it leaves is the
+    g-image of one already searched.  A child is skipped when an automorphism
+    found so far that fixes the labelled prefix maps an explored sibling to
+    it.  The automorphisms found generate Aut, which is kept as a stabilizer
+    chain.  The search runs on the integer ranks of the weights, with an
+    explicit stack.
     """
     n = x.n
     # Fraction hashing and comparison run in Python: key by (numerator,
@@ -107,13 +181,30 @@ def canonical_form_pruned(x: EdgeVector) -> CanonResult:
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
     rows: list[tuple[int, ...]] = [()] * (n - 1)  # rows of the current branch
     best: list[tuple[int, ...]] | None = None  # rows of the incumbent
-    minimizers: list[tuple[int, ...]] = []  # one-line images of minimizing relabelings
+    best_order: list[int] = []  # order of the incumbent's first leaf
+    automorphisms: list[tuple[int, ...]] = []  # found so far, 0-based images
+    # per depth: the vertices of the children explored under the current
+    # parent, and (len(automorphisms), the ones fixing the parent's prefix,
+    # the orbit of the explored vertices under those) once automorphisms exist
+    explored: list[list[int]] = [[] for _ in range(n + 1)]
+    orbits: list[tuple | None] = [None] * (n + 1)
     # (depth, vertex labelled depth, its row, cells after it, below, incumbent
     # at push time); below: rows[:depth] < that incumbent's, or it was None
     stack = [(0, -1, (), [list(range(n))], True, None)]
     while stack:
         depth, v, row, cells, below, pushed_best = stack.pop()
         if depth:
+            if automorphisms:
+                cached = orbits[depth]
+                if cached is None or cached[0] != len(automorphisms):
+                    prefix = order[: depth - 1]
+                    fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
+                    cached = (len(automorphisms), fixing, _orbit(explored[depth], fixing))
+                    orbits[depth] = cached
+                if v in cached[2]:
+                    continue
+                cached[2].update(_orbit([v], cached[1]))
+            explored[depth].append(v)
             order[depth - 1] = v
             rows[depth - 1] = row
         if pushed_best is not best:
@@ -129,11 +220,13 @@ def canonical_form_pruned(x: EdgeVector) -> CanonResult:
                 Ra = R[order[a]]
                 rows[a] = tuple(Ra[u] for u in order[a + 1 :])
             if below or rows[depth:] < best[depth:]:
-                best = rows.copy()
-                minimizers.clear()
-            elif rows[depth:] != best[depth:]:
-                continue
-            minimizers.append(_scatter(range(1, n + 1), [u + 1 for u in order]))
+                best, best_order = rows.copy(), order.copy()
+            elif rows[depth:] == best[depth:]:
+                automorphisms.append(_scatter(order, [u + 1 for u in best_order]))
+                # back to the node where this path leaves the incumbent's
+                fork = next(a for a in range(n) if order[a] != best_order[a])
+                while stack and stack[-1][0] > fork + 1:
+                    stack.pop()
             continue
         first, rest = cells[0], cells[1:]
         children = []
@@ -160,18 +253,28 @@ def canonical_form_pruned(x: EdgeVector) -> CanonResult:
             if least > best[depth]:
                 continue
             child_below = least < best[depth]
+        explored[depth + 1] = []
+        orbits[depth + 1] = None
         for child_row, u, child_cells in children:
             if child_row == least:
                 stack.append((depth + 1, u, child_row, child_cells, child_below, best))
 
-    assert best is not None and minimizers
-    frame = VertexPermutation(min(minimizers))
-    frame_inv = frame.inverse().images
-    automorphisms = frozenset(
-        VertexPermutation(tuple(frame_inv[s - 1] for s in images)) for images in minimizers
-    )
     canonical = tuple(levels[r] for best_row in best for r in best_row)
-    return CanonResult(EdgeVector(n, canonical), frame, automorphisms)
+    frame = _scatter(range(n), [u + 1 for u in best_order])
+    return _result(x, canonical, frame, automorphisms, max_n)
+
+
+def _orbit(points: list[int], perms: list[tuple[int, ...]]) -> set[int]:
+    """The union of the orbits of ``points`` under the group ``perms`` generate."""
+    orbit = set(points)
+    frontier = list(points)
+    while frontier:
+        p = frontier.pop()
+        for g in perms:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                frontier.append(g[p])
+    return orbit
 
 
 def canonical_form(
@@ -179,7 +282,7 @@ def canonical_form(
 ) -> CanonResult:
     """Dispatch to the requested canonizer engine ("pruned" or "brute")."""
     if engine == "pruned":
-        return canonical_form_pruned(x)
+        return canonical_form_pruned(x, max_n=max_n)
     if engine == "brute":
         return canonical_form_bruteforce(x, max_n=max_n)
     raise ValueError(f"unknown engine: {engine!r}")

@@ -72,7 +72,7 @@ def parse_weighted(text: str) -> EdgeVector:
         weights[s - 1] = w
     if n is None:
         raise ParseError("empty input: missing `n <count>` header")
-    return EdgeVector(n, tuple(weights))
+    return EdgeVector._from_exact(n, tuple(weights))
 
 
 def emit_weighted(x: EdgeVector) -> str:
@@ -181,4 +181,5 @@ def parse_graph6(text: str) -> EdgeVector:
     if any(bits[m:]):
         raise ParseError("nonzero padding bits")
     values = (Fraction(0), Fraction(1))
-    return EdgeVector(n, _scatter([values[b] for b in bits[:m]], _g6_positions(n)))
+    weights = _scatter([values[b] for b in bits[:m]], _g6_positions(n))
+    return EdgeVector._from_exact(n, weights)

@@ -5,6 +5,8 @@ lexicographic pair order (1,2) < (1,3) < ... < (n-1,n).  Relabeling the
 vertices by a permutation of {1..n} shuffles the edge positions; the group of
 those induced position permutations, acting on weight vectors, is what the
 rest of the package canonizes against.  All scalars are exact rationals.
+Subgroups of vertex permutations, such as a graph's automorphism group, are
+held as Schreier-Sims stabilizer chains.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable
+from math import prod
+from typing import Collection, Iterable
 
 #: Default bound on n for operations that enumerate all n! group elements.
 DEFAULT_MAX_N = 8
@@ -118,6 +121,14 @@ class EdgeVector:
                 f"expected {m} weights for n={self.n}, got {len(weights)}"
             )
         object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _from_exact(cls, n: int, weights: tuple[Fraction, ...]) -> EdgeVector:
+        """An edge vector of C(n,2) weights that are already ``Fraction``s, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "n", n)
+        object.__setattr__(x, "weights", weights)
+        return x
 
     @property
     def m(self) -> int:
@@ -244,45 +255,135 @@ def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     """
     if action.n != x.n:
         raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
-    return EdgeVector(x.n, _scatter(x.weights, action.index_map))
+    return EdgeVector._from_exact(x.n, _scatter(x.weights, action.index_map))
 
 
-def _closure(
-    gens: list[VertexPermutation], n: int, base: set[VertexPermutation] | None = None
-) -> set[VertexPermutation]:
-    """The group generated by gens and the group ``base`` (trivial when omitted).
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """``a`` after ``b``, on 0-based image tuples: the result maps i to a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
 
-    Dimino's algorithm: the result grows by whole right cosets of ``base``, one
-    for each product of a coset representative and a generator not yet in it.
+
+class _Chain:
+    """A permutation group on 0..n-1 as a Schreier-Sims chain with base 0..n-1.
+
+    Level k holds ``gens[k]``, strong generators fixing 0..k-1 that generate
+    G_k, the pointwise stabilizer of 0..k-1; and ``trans[k]``, which maps each
+    point b of the orbit of k under G_k to a pair (u, u^-1) with u in G_k and
+    u[k] == b.  So |G| is the product of the orbit lengths, and G_k is the
+    union of the cosets u.G_(k+1) (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4).  Permutations are 0-based image tuples.
     """
-    identity = VertexPermutation.identity(n)
-    base = base or {identity}
-    seen = set(base)
-    reps = [identity]
-    for r in reps:
+
+    def __init__(self, n: int, gens: Iterable[tuple[int, ...]] = ()):
+        identity = tuple(range(n))
+        self.n = n
+        self.gens: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1) pairs
+        self.trans = [{k: (identity, identity)} for k in range(n)]
         for g in gens:
-            q = r.compose(g)
-            if q not in seen:
-                seen.update(h.compose(q) for h in base)
-                reps.append(q)
-    return seen
+            self.add(g)
+
+    @property
+    def order(self) -> int:
+        return prod(len(orbit) for orbit in self.trans)
+
+    def _sift(self, g: tuple[int, ...], level: int = 0) -> tuple[tuple[int, ...] | None, int]:
+        """g stripped by the transversals from ``level`` on: (None, n) when g is
+        in the group, else the residue and the level whose orbit lacks its image."""
+        for k in range(level, self.n):
+            b = g[k]
+            if b != k:
+                entry = self.trans[k].get(b)
+                if entry is None:
+                    return g, k
+                g = _compose(entry[1], g)
+        return None, self.n
+
+    def __contains__(self, g: tuple[int, ...]) -> bool:
+        return self._sift(g)[0] is None
+
+    def add(self, g: tuple[int, ...]) -> bool:
+        """Extend the group by g; False when g is in the group already.
+
+        Each (level, generator, orbit point) pair is handled once: the product
+        either reaches a new orbit point, or gives a Schreier generator that is
+        sifted through the deeper levels and, if it does not sift to the
+        identity, becomes a strong generator there.
+        """
+        residue, last = self._sift(g)
+        if residue is None:
+            return False
+        work = self._strong_generator(residue, 0, last)
+        while work:
+            k, (s, s_inv), b = work.pop()
+            u, u_inv = self.trans[k][b]
+            t = _compose(s, u)
+            known = self.trans[k].get(t[k])
+            if known is None:
+                self.trans[k][t[k]] = (t, _compose(u_inv, s_inv))
+                work.extend((k, pair, t[k]) for pair in self.gens[k])
+            elif known[0] != t:
+                residue, last = self._sift(_compose(known[1], t), k + 1)
+                if residue is not None:
+                    work += self._strong_generator(residue, k + 1, last)
+        return True
+
+    def _strong_generator(self, h: tuple[int, ...], first: int, last: int) -> list:
+        """Put h into gens[first..last]; the (level, pair, point) work it adds."""
+        pair = (h, _scatter(range(self.n), [v + 1 for v in h]))
+        work = []
+        for k in range(first, last + 1):
+            self.gens[k].append(pair)
+            # at the base point itself, below ``last``, the Schreier generator
+            # is h, which is in gens[k+1]
+            work.extend((k, pair, b) for b in self.trans[k] if b != k or k == last)
+        return work
+
+    def coset_min(self, c: tuple[int, ...]) -> tuple[int, ...]:
+        """The one-line smallest element of the coset c.G, base point by base point."""
+        for orbit in self.trans:
+            if len(orbit) > 1:
+                c = _compose(c, orbit[min(orbit, key=c.__getitem__)][0])
+        return c
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element, as products u_0 u_1 ... u_(n-1) of transversal elements."""
+        elements = [tuple(range(self.n))]
+        for orbit in reversed(self.trans):
+            if len(orbit) > 1:
+                elements = [_compose(u, e) for u, _ in orbit.values() for e in elements]
+        return elements
 
 
-def generating_set(perms: Iterable[VertexPermutation]) -> list[VertexPermutation]:
-    """A small deterministic generating set for a group of vertex permutations.
+def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutation]:
+    """A small deterministic generating set for the group the permutations generate.
 
-    Greedy: scan the elements in one-line order and keep each one not yet in
-    the closure of the picks so far.  Returns [] for the trivial group.
+    Greedy in one-line order: the result lists each element of the group,
+    ascending, that is not in the group generated by the picks before it;
+    [] for the trivial group.  The elements are visited by a walk of the
+    group's stabilizer chain in one-line order, which skips a coset c.G_k
+    whenever c and G_k both lie in the picks' group already.
     """
-    elements = sorted(set(perms), key=lambda p: p.images)
-    if not elements:
+    if not perms:
         raise ValueError("empty permutation collection")
-    n = elements[0].n
+    n = next(iter(perms)).n
+    group = _Chain(n, (tuple(v - 1 for v in p.images) for p in perms))
+    picked = _Chain(n)
     gens: list[VertexPermutation] = []
-    closed = {VertexPermutation.identity(n)}
-    for p in elements:
-        if p in closed:
+    covered = [False] * n  # covered[k]: G_k lies in the picks' group
+    stack = [(0, tuple(range(n)))]  # (level k, coset representative c of c.G_k)
+    while stack:
+        k, c = stack.pop()
+        while k < n and len(group.trans[k]) == 1:
+            k += 1
+        if k == n:  # the coset is the one element c
+            if picked.add(c):
+                gens.append(VertexPermutation(tuple(v + 1 for v in c)))
             continue
-        gens.append(p)
-        closed = _closure(gens, n, closed)
+        if not covered[k]:
+            covered[k] = all(s in picked for s, _ in group.gens[k])
+        if covered[k] and c in picked:
+            continue
+        # the members of c.u.G_(k+1) send k to c[u[k]]: push them largest first
+        children = sorted(group.trans[k].items(), key=lambda item: c[item[0]], reverse=True)
+        stack += [(k + 1, _compose(c, u)) for _, (u, _) in children]
     return gens

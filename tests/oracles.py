@@ -3,8 +3,10 @@
 Everything here goes through symmetric adjacency matrices and raw index
 arithmetic, deliberately avoiding the package's position-permutation
 machinery, so agreement is a real cross-check rather than a tautology.
-The one exception is :func:`frame_coset_check`, which states the frame's
-defining property in terms of the package's own canonizer and actions.
+The exceptions are :func:`frame_coset_check`, which states the frame's
+defining property in terms of the package's own canonizer and actions, and
+:func:`generating_set_by_scan`, the definition of the greedy generating set
+on the package's vertex permutations.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from paircanon.frame import canonical_form_pruned
-from paircanon.pairgroup import EdgeVector, PairAction, act, induced_pair_action
+from paircanon.pairgroup import (
+    EdgeVector,
+    PairAction,
+    VertexPermutation,
+    act,
+    induced_pair_action,
+)
 
 
 def lex_pairs(n):
@@ -118,3 +126,44 @@ def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:
         .compose(induced_pair_action(rx.frame).inverse())
     )
     return act(composite, rx.canonical) == rx.canonical
+
+
+def closure(
+    gens: list[VertexPermutation], n: int, base: set[VertexPermutation] | None = None
+) -> set[VertexPermutation]:
+    """The group generated by gens and the group ``base`` (trivial when omitted).
+
+    Dimino's algorithm: the result grows by whole right cosets of ``base``, one
+    for each product of a coset representative and a generator not yet in it.
+    """
+    identity = VertexPermutation.identity(n)
+    base = base or {identity}
+    seen = set(base)
+    reps = [identity]
+    for r in reps:
+        for g in gens:
+            q = r.compose(g)
+            if q not in seen:
+                seen.update(h.compose(q) for h in base)
+                reps.append(q)
+    return seen
+
+
+def generating_set_by_scan(perms) -> list[VertexPermutation]:
+    """The greedy generating set by its definition, for a whole group ``perms``.
+
+    Scan the elements in one-line order and keep each one not yet in the
+    closure of the picks so far.  Returns [] for the trivial group.
+    """
+    elements = sorted(set(perms), key=lambda p: p.images)
+    if not elements:
+        raise ValueError("empty permutation collection")
+    n = elements[0].n
+    gens: list[VertexPermutation] = []
+    closed = {VertexPermutation.identity(n)}
+    for p in elements:
+        if p in closed:
+            continue
+        gens.append(p)
+        closed = closure(gens, n, closed)
+    return gens

@@ -122,6 +122,26 @@ def test_aut_lists_stabilizer(p4_file, capsys):
     assert capsys.readouterr().out.splitlines() == ["1 2 3 4", "4 3 2 1"]
 
 
+def test_aut_over_the_enumeration_limit_exits_3(tmp_path, capsys):
+    # the empty graph on 12 vertices: canon answers, aut would list 12! lines
+    path = write(tmp_path, "empty12.txt", "n 12\n")
+    assert main(["canon", path]) == 0
+    assert "aut_order 479001600" in capsys.readouterr().out
+    assert main(["aut", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "max_n=8" in captured.err
+
+
+def test_aut_lists_the_cycle_on_12_vertices(tmp_path, capsys):
+    text = "n 12\n1 12 1\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 12))
+    assert main(["aut", write(tmp_path, "c12.txt", text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 24
+    assert lines[0] == " ".join(str(i) for i in range(1, 13))
+    assert lines == sorted(set(lines), key=lambda line: [int(v) for v in line.split()])
+
+
 def test_orbit_size(p4_file, capsys):
     assert main(["orbit", p4_file]) == 0
     assert capsys.readouterr().out.strip() == "orbit_size 12"

@@ -19,7 +19,14 @@ from paircanon.pairgroup import (
     pair_index,
 )
 
-from oracles import lex_pairs, random_permutation, random_rational_weights
+from oracles import (
+    all_simple_vectors,
+    closure,
+    generating_set_by_scan,
+    lex_pairs,
+    random_permutation,
+    random_rational_weights,
+)
 
 
 # ---------------------------------------------------------------- pair_index
@@ -236,6 +243,32 @@ def test_act_axioms_random():
         assert act(a.compose(b), x) == act(a, act(b, x))
 
 
+def test_vectors_built_without_coercion_equal_checked_ones():
+    # act, the parsers and both engines skip re-coercing weights that are
+    # already Fractions; the public constructor still checks everything
+    from paircanon.frame import canonical_form_bruteforce, canonical_form_pruned
+    from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6, parse_weighted
+
+    rng = random.Random(29)
+    for n in (4, 6, 9):
+        x = EdgeVector(n, random_rational_weights(rng, n * (n - 1) // 2))
+        tau = induced_pair_action(VertexPermutation(random_permutation(rng, n)))
+        simple = EdgeVector(n, tuple(int(w > 0) for w in x.weights))
+        built = [
+            act(tau, x),
+            parse_weighted(emit_weighted(x)),
+            parse_graph6(emit_graph6(simple)),
+            canonical_form_pruned(x).canonical,
+        ]
+        if n <= 6:
+            built.append(canonical_form_bruteforce(x).canonical)
+        for y in built:
+            assert y == EdgeVector(y.n, y.weights)
+            assert all(type(w) is Fraction for w in y.weights)
+    with pytest.raises(TypeError):
+        EdgeVector(3, (Fraction(1), 0.5, 0))
+
+
 def test_act_dimension_mismatch():
     x = EdgeVector(4, (1, 0, 0, 1, 0, 1))
     tau = induced_pair_action(VertexPermutation.identity(5))
@@ -265,10 +298,53 @@ def test_generating_set_regenerates_group():
     full = [a.source for a in enumerate_group(4)]
     gens = generating_set(full)
     assert len(gens) <= 3
-    from paircanon.pairgroup import _closure
+    from oracles import closure as _closure
 
     assert _closure(gens, 4) == set(full)
 
 
 def test_generating_set_trivial_group():
     assert generating_set([VertexPermutation.identity(4)]) == []
+
+
+def _random_subgroup_generators(rng, n):
+    """1-3 random permutations, each moving a random subset of the points."""
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        moved = rng.sample(range(1, n + 1), rng.randrange(2, n + 1))
+        images = list(range(1, n + 1))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a - 1] = b
+        gens.append(VertexPermutation(tuple(images)))
+    return gens
+
+
+def test_generating_set_matches_greedy_scan_on_random_subgroups():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(3, 8)
+        gens = _random_subgroup_generators(rng, n)
+        group = closure(gens, n)
+        expected = generating_set_by_scan(group)
+        assert generating_set(gens) == expected, gens
+        assert generating_set(sorted(group)) == expected, gens
+
+
+def test_generating_set_matches_greedy_scan_on_graph_groups():
+    # every simple graph with n <= 5; with n = 6, every 5-vertex class plus a
+    # sixth vertex joined to each subset, which reaches every 6-vertex class
+    from paircanon.frame import canonical_form_pruned
+
+    graphs = [EdgeVector(n, w) for n in (3, 4, 5) for w in all_simple_vectors(n)]
+    classes5 = {canonical_form_pruned(x).canonical.weights for x in graphs if x.n == 5}
+    for w5 in classes5:
+        for mask in range(32):
+            weight = dict(zip(lex_pairs(5), w5))
+            weight.update(((i, 6), (mask >> (i - 1)) & 1) for i in range(1, 6))
+            graphs.append(EdgeVector(6, tuple(weight[p] for p in lex_pairs(6))))
+    for x in graphs:
+        result = canonical_form_pruned(x)
+        expected = generating_set_by_scan(result.automorphisms)
+        found = generating_set(result.generators) if result.generators else []
+        assert found == expected, x
+        assert generating_set(sorted(result.automorphisms)) == expected, x

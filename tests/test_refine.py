@@ -6,14 +6,18 @@ known order, generating sets frozen from an earlier release, and the absence
 of recursion in the search.
 """
 
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from paircanon.cli import main
 from paircanon.frame import canonical_form_pruned
+from paircanon.graphio import emit_weighted
 from paircanon.pairgroup import (
     EdgeVector,
     VertexPermutation,
@@ -94,6 +98,37 @@ def test_known_automorphism_group_orders(x, order):
     result = canonical_form_pruned(x)
     assert result.aut_order == order
     assert all(act(induced_pair_action(p), x) == x for p in result.automorphisms)
+
+
+@pytest.mark.parametrize(
+    "x, order",
+    [
+        (EdgeVector.zero(30), math.factorial(30)),
+        (graph(30, combinations(range(1, 31), 2)), math.factorial(30)),
+        (complete_bipartite(1, 29), math.factorial(29)),
+        (complete_bipartite(15, 15), 2 * math.factorial(15) ** 2),
+        (cycle(30), 2 * 30),
+    ],
+    ids=["empty30", "complete30", "K1,29", "K15,15", "C30"],
+)
+def test_large_symmetric_groups(x, order, tmp_path, capsys):
+    result = canonical_form_pruned(x)
+    assert result.aut_order == order
+    assert result.orbit_size == math.factorial(30) // order
+    path = tmp_path / "x.txt"
+    path.write_text(emit_weighted(x))
+    assert main(["canon", "--json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["aut_order"] == order
+    assert payload["aut_generators"]
+    for images in payload["aut_generators"]:
+        assert act(induced_pair_action(VertexPermutation(tuple(images))), x) == x
+    rng = random.Random(f"relabel-{order}")
+    tau = induced_pair_action(VertexPermutation(random_permutation(rng, 30)))
+    assert frame_coset_check(x, tau)
+    relabeled = canonical_form_pruned(act(tau, x))
+    assert relabeled.canonical == result.canonical
+    assert relabeled.aut_order == order
 
 
 # generating sets as printed by the prefix-pruned engine this one replaced
