@@ -1,9 +1,10 @@
 """Command-line interface: canonize, compare, and evaluate invariants of graphs.
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
-parse error, 3 group-size limit exceeded.  The polyinv and sortframe modules
-are imported by the commands that use them, so a graph command does not load
-them.
+parse error or recursion limit, 3 group-size limit or out of memory; an error
+prints one ``error:`` line on stderr, never a traceback.  The polyinv and
+sortframe modules are imported by the commands that use them, so a graph
+command does not load them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .pairgroup import (
     EdgeVector,
     GroupSizeError,
     _check_enumerable,
-    generating_set,
 )
 
 EXIT_OK = 0
@@ -48,19 +48,16 @@ def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    generators = generating_set(result.generators) if result.generators else []
+    generators = result.chain.greedy_generators() if result.chain else []
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": x.n,
-                    "canonical": [str(w) for w in result.canonical.weights],
-                    "frame": list(result.frame.images),
-                    "aut_order": result.aut_order,
-                    "aut_generators": [list(g.images) for g in generators],
-                }
-            )
-        )
+        payload = {
+            "n": x.n,
+            "canonical": [str(w) for w in result.canonical.weights],
+            "frame": list(result.frame.images),
+            "aut_order": result.aut_order,
+            "aut_generators": [list(g.images) for g in generators],
+        }
+        print(json.dumps(payload))
     else:
         print(f"canonical {_values(result.canonical.weights)}")
         print(f"frame {_values(result.frame.images)}")
@@ -298,10 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GroupSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GroupSizeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -2,8 +2,11 @@
 
 The text format is a ``n <count>`` header followed by ``i j w`` lines with
 exact weight literals (integers, fractions ``p/q``, or decimal strings, all
-converted exactly).  graph6 is supported bit-exactly for simple graphs so
-output can be exchanged with the usual canonical-labeling tools.
+converted exactly, each distinct literal once per parse).  A decimal
+exponent beyond +-4300 makes a bad literal: ``Fraction`` would expand
+10**exponent, which for ``1e999999999`` never ends.  graph6 is supported
+bit-exactly for simple graphs so output can be exchanged with the usual
+canonical-labeling tools.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .pairgroup import EdgeVector, _scatter, index_pair, pair_index
+from .pairgroup import EdgeVector, _row_offsets, _scatter, index_pair
 
 _G6_HEADER = ">>graph6<<"
+
+MAX_EXPONENT = 4300  #: largest decimal exponent: CPython's default int-str digit limit
 
 
 class ParseError(ValueError):
@@ -31,13 +36,13 @@ def parse_weighted(text: str) -> EdgeVector:
     weight 0.
     """
     n: int | None = None
-    weights: list[Fraction] = []
     seen: dict[int, int] = {}  # position -> line that set it
+    exact: dict[str, Fraction] = {}  # literal -> its value
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         fields = line.split()
+        if not fields:
+            continue
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
                 raise ParseError("expected header `n <count>`", lineno)
@@ -48,27 +53,33 @@ def parse_weighted(text: str) -> EdgeVector:
             if n < 3:
                 raise ParseError(f"need at least 3 vertices, got {n}", lineno)
             weights = [Fraction(0)] * (n * (n - 1) // 2)
+            start = _row_offsets(n)
             continue
         if len(fields) != 3:
-            raise ParseError(f"expected `i j w`, got {line!r}", lineno)
+            raise ParseError(f"expected `i j w`, got {line.strip()!r}", lineno)
+        a, b, literal = fields
         try:
-            i, j = int(fields[0]), int(fields[1])
+            i, j = int(a), int(b)
         except ValueError:
-            raise ParseError(f"bad vertex label in {line!r}", lineno) from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"vertex label out of range 1..{n}: ({i}, {j})", lineno)
-        if i >= j:
+            raise ParseError(f"bad vertex label in {line.strip()!r}", lineno) from None
+        if not 1 <= i < j <= n:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ParseError(f"vertex label out of range 1..{n}: ({i}, {j})", lineno)
             raise ParseError(f"need i < j, got ({i}, {j})", lineno)
-        try:
-            w = Fraction(fields[2])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight literal: {fields[2]!r}", lineno) from None
-        s = pair_index(i, j, n)
-        if s in seen:
-            raise ParseError(
-                f"duplicate pair ({i}, {j}), first set on line {seen[s]}", lineno
-            )
-        seen[s] = lineno
+        w = exact.get(literal)
+        if w is None:
+            try:
+                # a literal Fraction accepts has at most one e, and int() reads its exponent
+                _, e, exponent = literal.replace("E", "e").partition("e")
+                if e and abs(int(exponent)) > MAX_EXPONENT:
+                    raise ValueError
+                w = exact[literal] = Fraction(literal)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad weight literal: {literal!r}", lineno) from None
+        s = start[i] + j
+        first = seen.setdefault(s, lineno)
+        if first != lineno:
+            raise ParseError(f"duplicate pair ({i}, {j}), first set on line {first}", lineno)
         weights[s - 1] = w
     if n is None:
         raise ParseError("empty input: missing `n <count>` header")
@@ -78,43 +89,35 @@ def parse_weighted(text: str) -> EdgeVector:
 def emit_weighted(x: EdgeVector) -> str:
     """Canonical text form: header plus the nonzero edges in pair order."""
     lines = [f"n {x.n}"]
+    literal: dict[int, str] = {}  # id of a weight -> its text, "" for 0
     for (i, j), w in zip(combinations(range(1, x.n + 1), 2), x.weights):
-        if w:
-            lines.append(f"{i} {j} {w}")
+        t = literal.get(id(w))
+        if t is None:
+            t = literal[id(w)] = f"{w}" if w else ""
+        if t:
+            lines.append(f"{i} {j} {t}")
     return "\n".join(lines) + "\n"
 
 
 def _encode_g6_size(n: int) -> bytes:
     if n <= 62:
         return bytes([63 + n])
-    if n <= 258047:
-        return bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
-    if n <= 68719476735:
-        return bytes(
-            [126, 126] + [63 + ((n >> shift) & 63) for shift in (30, 24, 18, 12, 6, 0)]
-        )
-    raise ValueError(f"vertex count too large for graph6: {n}")
+    if n > 68719476735:
+        raise ValueError(f"vertex count too large for graph6: {n}")
+    shifts = (12, 6, 0) if n <= 258047 else (30, 24, 18, 12, 6, 0)
+    return bytes([126] * (len(shifts) // 3) + [63 + ((n >> k) & 63) for k in shifts])
 
 
 def _decode_g6_size(data: bytes) -> tuple[int, int]:
     """Return (n, number of size bytes consumed)."""
     if not data:
         raise ParseError("empty graph6 string")
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            chunk = data[2:8]
-            if len(chunk) != 6 or any(not 63 <= b <= 126 for b in chunk):
-                raise ParseError("malformed 8-byte size field")
-            consumed = 8
-        else:
-            chunk = data[1:4]
-            if len(chunk) != 3 or any(not 63 <= b <= 126 for b in chunk):
-                raise ParseError("malformed 4-byte size field")
-            consumed = 4
-        n = 0
-        for b in chunk:
-            n = (n << 6) | (b - 63)
-        return n, consumed
+    if data[0] == 126:  # then 3 size bytes, or a second 126 and 6 size bytes
+        consumed = 8 if data[1:2] == b"~" else 4
+        chunk = data[consumed // 4 : consumed]
+        if len(data) < consumed or chunk.translate(None, _G6_DATA_BYTES):
+            raise ParseError(f"malformed {consumed}-byte size field")
+        return int("".join(map(_G6_BITS.__getitem__, chunk)), 2), consumed
     if not 63 <= data[0] <= 125:
         raise ParseError(f"malformed size byte {data[0]}")
     return data[0] - 63, 1
@@ -122,7 +125,14 @@ def _decode_g6_size(data: bytes) -> tuple[int, int]:
 
 def _g6_positions(n: int) -> list[int]:
     """Position in pair order of each graph6 bit: pairs grouped by larger endpoint."""
-    return [pair_index(i, j, n) for j in range(2, n + 1) for i in range(1, j)]
+    start = _row_offsets(n)
+    return [start[i] + j for j in range(2, n + 1) for i in range(1, j)]
+
+
+#: the six bits of each graph6 data byte, most significant first, as "0"/"1" text
+_G6_BITS = {63 + v: f"{v:06b}" for v in range(64)}
+_G6_BYTE = {bits: chr(b) for b, bits in _G6_BITS.items()}
+_G6_DATA_BYTES = bytes(_G6_BITS)
 
 
 def emit_graph6(x: EdgeVector) -> str:
@@ -134,32 +144,26 @@ def emit_graph6(x: EdgeVector) -> str:
     """
     n = x.n
     bits = []
+    one = zero = None  # weight objects already found equal to 1 and to 0
     for s in _g6_positions(n):
         w = x.weights[s - 1]
-        if w == 1:
-            bits.append(1)
-        elif w == 0:
-            bits.append(0)
-        else:
-            raise ValueError(f"non-simple weight {w} at edge {index_pair(s, n)}")
-    out = bytearray(_encode_g6_size(n))
-    for start in range(0, len(bits), 6):
-        group = bits[start : start + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        out.append(63 + value)
-    return out.decode("ascii")
+        if w is not one and w is not zero:
+            if w == 1:
+                one = w
+            elif w == 0:
+                zero = w
+            else:
+                raise ValueError(f"non-simple weight {w} at edge {index_pair(s, n)}")
+        bits.append("1" if w is one else "0")
+    bits = "".join(bits) + "0" * (-len(bits) % 6)
+    body = "".join(_G6_BYTE[bits[k : k + 6]] for k in range(0, len(bits), 6))
+    return _encode_g6_size(n).decode("ascii") + body
 
 
 def parse_graph6(text: str) -> EdgeVector:
     """Decode a graph6 string (optional ``>>graph6<<`` header) into a {0,1} vector."""
-    s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER) :].strip()
     try:
-        data = s.encode("ascii")
+        data = text.strip().removeprefix(_G6_HEADER).strip().encode("ascii")
     except UnicodeEncodeError:
         raise ParseError("graph6 strings are ASCII") from None
     n, consumed = _decode_g6_size(data)
@@ -169,17 +173,12 @@ def parse_graph6(text: str) -> EdgeVector:
     body = data[consumed:]
     need = (m + 5) // 6
     if len(body) != need:
-        raise ParseError(
-            f"length mismatch: n={n} needs {need} data bytes, got {len(body)}"
-        )
-    bits: list[int] = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise ParseError(f"malformed data byte {b}")
-        value = b - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[m:]):
+        raise ParseError(f"length mismatch: n={n} needs {need} data bytes, got {len(body)}")
+    malformed = body.translate(None, _G6_DATA_BYTES)
+    if malformed:
+        raise ParseError(f"malformed data byte {malformed[0]}")
+    bits = "".join(map(_G6_BITS.__getitem__, body))
+    if "1" in bits[m:]:
         raise ParseError("nonzero padding bits")
-    values = (Fraction(0), Fraction(1))
-    weights = _scatter([values[b] for b in bits[:m]], _g6_positions(n))
-    return EdgeVector._from_exact(n, weights)
+    values = {"0": Fraction(0), "1": Fraction(1)}
+    return EdgeVector._from_exact(n, _scatter(map(values.__getitem__, bits), _g6_positions(n)))

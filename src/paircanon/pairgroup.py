@@ -158,10 +158,14 @@ def _scatter(values, index_map) -> tuple:
     return tuple(out)
 
 
+def _row_offsets(n: int) -> list[int]:
+    """``offsets[a] + b`` is :func:`pair_index` (a, b, n) for 1 <= a < b <= n."""
+    return [(a - 1) * (2 * n - a) // 2 - a for a in range(n)]
+
+
 def _induced_index_map(images: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Position map induced by a vertex relabeling given in one-line notation."""
-    # the pair (a, b), a < b, sits at position start[a] + b (see pair_index)
-    start = [(a - 1) * (2 * n - a) // 2 - a for a in range(n)]
+    start = _row_offsets(n)
     return tuple(
         start[a] + b if a < b else start[b] + a
         for i, a in enumerate(images)
@@ -353,37 +357,37 @@ class _Chain:
                 elements = [_compose(u, e) for u, _ in orbit.values() for e in elements]
         return elements
 
+    def greedy_generators(self) -> list[VertexPermutation]:
+        """Greedy in one-line order: each element, ascending, that is not in the
+        group the picks before it generate; [] for the trivial group.  The walk
+        skips a coset c.G_k whenever c and G_k both lie in the picks' group."""
+        n = self.n
+        picked = _Chain(n)
+        gens: list[VertexPermutation] = []
+        covered = [False] * n  # covered[k]: G_k lies in the picks' group
+        stack = [(0, tuple(range(n)))]  # (level k, coset representative c of c.G_k)
+        while stack:
+            k, c = stack.pop()
+            while k < n and len(self.trans[k]) == 1:
+                k += 1
+            if k == n:  # the coset is the one element c
+                if picked.add(c):
+                    gens.append(VertexPermutation(tuple(v + 1 for v in c)))
+                continue
+            if not covered[k]:
+                covered[k] = all(s in picked for s, _ in self.gens[k])
+            if covered[k] and c in picked:
+                continue
+            # the members of c.u.G_(k+1) send k to c[u[k]]: push them largest first
+            children = sorted(self.trans[k].items(), key=lambda item: c[item[0]], reverse=True)
+            stack += [(k + 1, _compose(c, u)) for _, (u, _) in children]
+        return gens
+
 
 def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutation]:
-    """A small deterministic generating set for the group the permutations generate.
-
-    Greedy in one-line order: the result lists each element of the group,
-    ascending, that is not in the group generated by the picks before it;
-    [] for the trivial group.  The elements are visited by a walk of the
-    group's stabilizer chain in one-line order, which skips a coset c.G_k
-    whenever c and G_k both lie in the picks' group already.
-    """
+    """The greedy generating set (:meth:`_Chain.greedy_generators`) of the group
+    the permutations generate."""
     if not perms:
         raise ValueError("empty permutation collection")
-    n = next(iter(perms)).n
-    group = _Chain(n, (tuple(v - 1 for v in p.images) for p in perms))
-    picked = _Chain(n)
-    gens: list[VertexPermutation] = []
-    covered = [False] * n  # covered[k]: G_k lies in the picks' group
-    stack = [(0, tuple(range(n)))]  # (level k, coset representative c of c.G_k)
-    while stack:
-        k, c = stack.pop()
-        while k < n and len(group.trans[k]) == 1:
-            k += 1
-        if k == n:  # the coset is the one element c
-            if picked.add(c):
-                gens.append(VertexPermutation(tuple(v + 1 for v in c)))
-            continue
-        if not covered[k]:
-            covered[k] = all(s in picked for s, _ in group.gens[k])
-        if covered[k] and c in picked:
-            continue
-        # the members of c.u.G_(k+1) send k to c[u[k]]: push them largest first
-        children = sorted(group.trans[k].items(), key=lambda item: c[item[0]], reverse=True)
-        stack += [(k + 1, _compose(c, u)) for _, (u, _) in children]
-    return gens
+    group = _Chain(next(iter(perms)).n, (tuple(v - 1 for v in p.images) for p in perms))
+    return group.greedy_generators()

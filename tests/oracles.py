@@ -4,9 +4,10 @@ Everything here goes through symmetric adjacency matrices and raw index
 arithmetic, deliberately avoiding the package's position-permutation
 machinery, so agreement is a real cross-check rather than a tautology.
 The exceptions are :func:`frame_coset_check`, which states the frame's
-defining property in terms of the package's own canonizer and actions, and
+defining property in terms of the package's own canonizer and actions,
 :func:`generating_set_by_scan`, the definition of the greedy generating set
-on the package's vertex permutations.
+on the package's vertex permutations, and :func:`parse_weighted_by_line`,
+the edge-list parser written line by line.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from paircanon.frame import canonical_form_pruned
+from paircanon.graphio import ParseError
 from paircanon.pairgroup import (
     EdgeVector,
     PairAction,
     VertexPermutation,
     act,
     induced_pair_action,
+    pair_index,
 )
 
 
@@ -167,3 +170,52 @@ def generating_set_by_scan(perms) -> list[VertexPermutation]:
         gens.append(p)
         closed = closure(gens, n, closed)
     return gens
+
+
+def parse_weighted_by_line(text: str) -> EdgeVector:
+    """The edge-list parser as first written: one ``Fraction`` and one
+    ``pair_index`` per line, the reference for :func:`paircanon.parse_weighted`
+    (which also refuses decimal exponents beyond +-4300 before converting)."""
+    n = None
+    weights = []
+    seen = {}  # position -> line that set it
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 2 or fields[0] != "n":
+                raise ParseError("expected header `n <count>`", lineno)
+            try:
+                n = int(fields[1])
+            except ValueError:
+                raise ParseError(f"bad vertex count: {fields[1]!r}", lineno) from None
+            if n < 3:
+                raise ParseError(f"need at least 3 vertices, got {n}", lineno)
+            weights = [Fraction(0)] * (n * (n - 1) // 2)
+            continue
+        if len(fields) != 3:
+            raise ParseError(f"expected `i j w`, got {line!r}", lineno)
+        try:
+            i, j = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"bad vertex label in {line!r}", lineno) from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"vertex label out of range 1..{n}: ({i}, {j})", lineno)
+        if i >= j:
+            raise ParseError(f"need i < j, got ({i}, {j})", lineno)
+        try:
+            w = Fraction(fields[2])
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad weight literal: {fields[2]!r}", lineno) from None
+        s = pair_index(i, j, n)
+        if s in seen:
+            raise ParseError(
+                f"duplicate pair ({i}, {j}), first set on line {seen[s]}", lineno
+            )
+        seen[s] = lineno
+        weights[s - 1] = w
+    if n is None:
+        raise ParseError("empty input: missing `n <count>` header")
+    return EdgeVector(n, tuple(weights))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -257,6 +258,41 @@ def test_parse_error_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(capsys):
     assert main(["canon", "/nonexistent/graph.txt"]) == 2
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, literal):
+    path = write(tmp_path, "huge.txt", f"n 3\n1 2 1\n1 3 {literal}\n")
+    start = time.perf_counter()
+    assert main(["canon", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3: ")
+    assert captured.err.count("\n") == 1
+
+
+def _raise(exc):
+    def parse(text):
+        raise exc
+
+    return parse
+
+
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [
+        (MemoryError(), 3, "out of memory"),
+        (RecursionError("maximum recursion depth exceeded"), 2, "maximum recursion depth exceeded"),
+    ],
+)
+def test_resource_errors_end_in_one_error_line(p4_file, capsys, monkeypatch, exc, code, message):
+    # raised by a stand-in parser: nothing is allocated or recursed for real
+    monkeypatch.setattr("paircanon.cli.parse_weighted", _raise(exc))
+    assert main(["canon", p4_file]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_size_limit_exit_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -66,6 +67,25 @@ def test_parse_errors_carry_line_numbers(text, line, needle):
 def test_parse_empty_input():
     with pytest.raises(ParseError):
         parse_weighted("# nothing here\n")
+
+
+@pytest.mark.parametrize(
+    "literal",
+    # beyond the limit, then malformed literals with long exponents
+    ["1e999999999", "1e-999999999", "-2.5E+4301", "1e1_000_000", ".5e-4301"]
+    + ["1/2e99999", "e99999", "1e99999e1", "1e9__9999", "1.2.3e99999"],
+)
+def test_parse_refuses_decimal_exponents_beyond_4300(literal):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_weighted(f"n 3\n1 2 1\n\n1 3 {literal}\n")
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"line 4: bad weight literal: {literal!r}"
+
+
+def test_parse_accepts_decimal_exponents_up_to_4300():
+    x = parse_weighted("n 3\n1 2 1e4300\n1 3 -1E-4300\n2 3 25e-4300\n")
+    assert x.weights == (Fraction(10**4300), Fraction(-1, 10**4300), Fraction(25, 10**4300))
 
 
 # ---------------------------------------------------------- weighted: emit

@@ -1,0 +1,192 @@
+"""Property tests of the text and graph6 codecs, generated by Hypothesis.
+
+The edge-list parser is compared with the line-by-line reference in
+``oracles.py`` on generated inputs, valid and invalid; both parsers must
+raise only ``ParseError`` on arbitrary text; and both formats must read back
+what they write.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from paircanon.graphio import (
+    ParseError,
+    emit_graph6,
+    emit_weighted,
+    parse_graph6,
+    parse_weighted,
+)
+from paircanon.pairgroup import EdgeVector
+
+from oracles import parse_weighted_by_line
+
+# no example database: the runs leave no files behind
+PROPERTY = settings(
+    deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: equal values written differently, so a literal's value, not its text, must agree
+SPELLINGS = [
+    ["0", "-0", "+0", "0/7", "0.0", "0e5", ".0"],
+    ["1/2", "0.5", "2/4", ".5", "5e-1", "+1/2", "50E-2"],
+    ["3", "+3", "3.0", "6/2", "3e0", "0.3e1", "30E-1"],
+    ["1e-2", "0.01", "1/100", "1E-2", "+.01"],
+    ["-7/3", "-14/6", "-21/9"],
+    ["1000", "1e3", "1E+3", "10e2", "2000/2"],
+]
+BAD_LITERALS = ["1/0", "0.1.2", "abc", "1e", "e5", "1/-2", "--1", "1/2/3", "0x10", "1,5", "."]
+SEPARATORS = [" ", "\t", "  ", " \t "]
+TRAILERS = ["", " ", "# note", "  # note", "#"]
+
+
+def _outcome(parse, text):
+    """(True, n, weights) for a parse, (False, line, message) for a ParseError."""
+    try:
+        x = parse(text)
+    except ParseError as exc:
+        return False, exc.line, str(exc)
+    return True, x.n, x.weights
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list text: mostly valid lines, with every kind of error mixed in."""
+    n = draw(st.integers(3, 6))
+    header = draw(
+        st.sampled_from(
+            [f"n {n}"] * 6 + [f"  n\t{n}  # header", f"n +{n}", "n x", "n 2", f"{n}", f"n {n} 1"]
+        )
+    )
+    lines = draw(st.lists(st.sampled_from(["", "# comment", "   "]), max_size=2))
+    lines.append(header)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        sep = draw(st.sampled_from(SEPARATORS))
+        if kind <= 5:  # a valid line; pairs may repeat, which is an error
+            i = draw(st.integers(1, n - 1))
+            j = draw(st.integers(i + 1, n))
+            fields = [str(i), str(j), draw(st.sampled_from(draw(st.sampled_from(SPELLINGS))))]
+        elif kind == 6:
+            lines.append(draw(st.sampled_from(["", "#", "  # only a comment", "\t"])))
+            continue
+        elif kind == 7:  # labels out of range, in the wrong order, or not numbers
+            label = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(["x", "1.0", "+2"]))
+            fields = [draw(label), draw(label), "1"]
+        elif kind == 8:
+            fields = ["1", "2", draw(st.sampled_from(BAD_LITERALS))]
+        else:  # a wrong number of fields
+            fields = draw(st.lists(st.sampled_from(["1", "2", "3"]), max_size=5).filter(
+                lambda f: len(f) not in (0, 3)
+            ))
+        lines.append(sep.join(fields) + draw(st.sampled_from(TRAILERS)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(edge_lists())
+def test_parse_weighted_matches_the_line_by_line_reference(text):
+    got = _outcome(parse_weighted, text)
+    assert got == _outcome(parse_weighted_by_line, text)
+    if got[0]:
+        assert all(type(w) is Fraction for w in got[2])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 4\n1 2 1\n1 2 2\n",
+        "n 4\n2 1 1\n",
+        "n 4\n3 3 1\n",
+        "n 4\n1 5 1\n",
+        "n 4\n1 2 0.1.2\n",
+        "n 4\n1 2 1/0\n",
+        "n 2\n",
+        "n x\n",
+        "4\n1 2 1\n",
+        "n 4\n1 2\n",
+        "n 4\n1 x 1 # c\n",
+        "# nothing here\n",
+    ],
+)
+def test_parse_errors_match_the_reference(text):
+    assert _outcome(parse_weighted, text) == _outcome(parse_weighted_by_line, text)
+
+
+# A header count of 10**4 or more makes the parser allocate C(n,2) weights
+# before any size check (an open item), so arbitrary text keeps its digit
+# runs, underscores included, below four characters.
+_SHORT_NUMBERS = re.compile(r"[\d_]{4}")
+
+_ARBITRARY_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="n 0123456789#e/.-+_\n\t\r\x0bE", max_size=60),
+).filter(lambda text: not _SHORT_NUMBERS.search(text))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_ARBITRARY_TEXT)
+def test_parse_weighted_raises_only_parse_errors(text):
+    try:
+        x = parse_weighted(text)
+    except ParseError:
+        return
+    assert all(type(w) is Fraction for w in x.weights)
+
+
+def _graph6_like():
+    """Strings with a valid or broken size field and a body of any bytes."""
+    size = st.sampled_from(["B", "C", "D", "H", "~??~", "~?A?", "~~", "A", "@", "\x7f", ""])
+    body = st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=130), max_size=14)
+    header = st.sampled_from(["", ">>graph6<<", " "])
+    return st.builds(lambda h, s, b: h + s + b, header, size, body)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(st.text(max_size=40), _graph6_like()))
+def test_parse_graph6_raises_only_parse_errors(text):
+    try:
+        x = parse_graph6(text)
+    except ParseError:
+        return
+    # an accepted string holds exactly the data bytes emit_graph6 writes
+    need = (x.m + 5) // 6
+    assert text.strip()[len(text.strip()) - need :] == emit_graph6(x)[-need:]
+
+
+_WEIGHTS = st.one_of(
+    st.fractions(max_denominator=40),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3)]),
+)
+
+
+@st.composite
+def weighted_vectors(draw):
+    n = draw(st.integers(3, 7))
+    m = n * (n - 1) // 2
+    return EdgeVector(n, tuple(draw(st.lists(_WEIGHTS, min_size=m, max_size=m))))
+
+
+@st.composite
+def simple_vectors(draw):
+    """Simple graphs up to n=70, past the one-byte graph6 size field."""
+    n = draw(st.integers(3, 70))
+    m = n * (n - 1) // 2
+    mask = draw(st.integers(0, 2**m - 1))
+    return EdgeVector(n, tuple((mask >> s) & 1 for s in range(m)))
+
+
+@settings(PROPERTY, max_examples=75)
+@given(weighted_vectors())
+def test_weighted_text_reads_back_what_it_writes(x):
+    assert parse_weighted(emit_weighted(x)) == x
+
+
+@settings(PROPERTY, max_examples=100)
+@given(simple_vectors())
+def test_graph6_reads_back_what_it_writes(x):
+    assert parse_graph6(emit_graph6(x)) == x
