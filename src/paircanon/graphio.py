@@ -4,21 +4,23 @@ The text format is a ``n <count>`` header followed by ``i j w`` lines with
 exact weight literals (integers, fractions ``p/q``, or decimal strings, all
 converted exactly, each distinct literal once per parse).  A decimal
 exponent beyond +-4300 makes a bad literal: ``Fraction`` would expand
-10**exponent, which for ``1e999999999`` never ends.  graph6 is supported
-bit-exactly for simple graphs so output can be exchanged with the usual
-canonical-labeling tools.
+10**exponent, which for ``1e999999999`` never ends.  So does a value whose
+numerator or denominator has more than 4300 digits, which CPython cannot
+print.  graph6 is supported bit-exactly for simple graphs so output can be
+exchanged with the usual canonical-labeling tools.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
-from .pairgroup import EdgeVector, _row_offsets, _scatter, index_pair
+from .pairgroup import EdgeVector, _row_offsets, _scatter
 
 _G6_HEADER = ">>graph6<<"
 
 MAX_EXPONENT = 4300  #: largest decimal exponent: CPython's default int-str digit limit
+_UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT digits
 
 
 class ParseError(ValueError):
@@ -73,7 +75,10 @@ def parse_weighted(text: str) -> EdgeVector:
                 _, e, exponent = literal.replace("E", "e").partition("e")
                 if e and abs(int(exponent)) > MAX_EXPONENT:
                     raise ValueError
-                w = exact[literal] = Fraction(literal)
+                w = Fraction(literal)
+                if abs(w.numerator) >= _UNPRINTABLE or w.denominator >= _UNPRINTABLE:
+                    raise ValueError
+                exact[literal] = w
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad weight literal: {literal!r}", lineno) from None
         s = start[i] + j
@@ -153,7 +158,8 @@ def emit_graph6(x: EdgeVector) -> str:
             elif w == 0:
                 zero = w
             else:
-                raise ValueError(f"non-simple weight {w} at edge {index_pair(s, n)}")
+                edge = next(islice(combinations(range(1, n + 1), 2), s - 1, None))
+                raise ValueError(f"non-simple weight {w} at edge {edge}")
         bits.append("1" if w is one else "0")
     bits = "".join(bits) + "0" * (-len(bits) % 6)
     body = "".join(_G6_BYTE[bits[k : k + 6]] for k in range(0, len(bits), 6))

@@ -7,6 +7,8 @@ those induced position permutations, acting on weight vectors, is what the
 rest of the package canonizes against.  All scalars are exact rationals.
 Subgroups of vertex permutations, such as a graph's automorphism group, are
 held as Schreier-Sims stabilizer chains.
+The pair order, the application of a permutation, the group operations and
+the list of all n! relabelings each have one definition in this module.
 """
 
 from __future__ import annotations
@@ -62,42 +64,14 @@ class VertexPermutation:
     def identity(cls, n: int) -> VertexPermutation:
         return cls(tuple(range(1, n + 1)))
 
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"vertex label out of range 1..{self.n}: {i}")
-        return self.images[i - 1]
-
     def compose(self, other: VertexPermutation) -> VertexPermutation:
-        """self after other: ``self.compose(other)(i) == self(other(i))``."""
+        """self after other: i goes to ``self.images[other.images[i-1] - 1]``."""
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
         return VertexPermutation(tuple(self.images[v - 1] for v in other.images))
 
     def inverse(self) -> VertexPermutation:
         return VertexPermutation(_scatter(range(1, self.n + 1), self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
-
-
-def pair_index(i: int, j: int, n: int) -> int:
-    """1-based rank of the pair (i, j), i < j, in lexicographic pair order."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    # pairs (1,*) fill the first n-1 slots, (2,*) the next n-2, and so on
-    return (i - 1) * (2 * n - i) // 2 + (j - i)
-
-
-def index_pair(s: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`: the pair sitting at position s."""
-    m = n * (n - 1) // 2
-    if not 1 <= s <= m:
-        raise ValueError(f"position out of range 1..{m}: {s}")
-    i = 1
-    while s > n - i:
-        s -= n - i
-        i += 1
-    return i, i + s
 
 
 @dataclass(frozen=True)
@@ -138,10 +112,6 @@ class EdgeVector:
     def zero(cls, n: int) -> EdgeVector:
         return cls(n, (Fraction(0),) * (n * (n - 1) // 2))
 
-    def weight(self, i: int, j: int) -> Fraction:
-        """Weight of the edge {i, j} (either endpoint order)."""
-        return self.weights[pair_index(min(i, j), max(i, j), self.n) - 1]
-
     def is_simple(self) -> bool:
         return all(w == 0 or w == 1 for w in self.weights)
 
@@ -159,7 +129,7 @@ def _scatter(values, index_map) -> tuple:
 
 
 def _row_offsets(n: int) -> list[int]:
-    """``offsets[a] + b`` is :func:`pair_index` (a, b, n) for 1 <= a < b <= n."""
+    """The pair order: ``offsets[a] + b`` is the 1-based position of (a, b), a < b."""
     return [(a - 1) * (2 * n - a) // 2 - a for a in range(n)]
 
 
@@ -196,25 +166,6 @@ class PairAction:
     def n(self) -> int:
         return self.source.n
 
-    @property
-    def m(self) -> int:
-        return len(self.index_map)
-
-    def __call__(self, s: int) -> int:
-        if not 1 <= s <= self.m:
-            raise ValueError(f"position out of range 1..{self.m}: {s}")
-        return self.index_map[s - 1]
-
-    def compose(self, other: PairAction) -> PairAction:
-        """self after other: the action induced by self.source after other.source."""
-        return PairAction(self.source.compose(other.source))
-
-    def inverse(self) -> PairAction:
-        return PairAction(self.source.inverse())
-
-    def is_identity(self) -> bool:
-        return self.source.is_identity()
-
 
 def induced_pair_action(sigma: VertexPermutation) -> PairAction:
     """The edge-position permutation induced by the vertex permutation sigma."""
@@ -233,10 +184,10 @@ def _check_enumerable(n: int, max_n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _group_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (vertex images, induced index_map) pairs, ascending by one-line order.
+    """All n! (vertex images, induced index_map) pairs, ascending by one-line order.
 
-    Internal fast path shared by the enumerating canonizer and the averaging
-    operator; cached because the table depends only on n.
+    The one enumeration of the group, shared by the enumerating canonizer and
+    the averaging operator; cached because the table depends only on n.
     """
     return tuple(
         (images, _induced_index_map(images, n))
@@ -244,18 +195,12 @@ def _group_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     )
 
 
-def enumerate_group(n: int, max_n: int = DEFAULT_MAX_N) -> list[PairAction]:
-    """All n! induced actions, identity first, ascending by source one-line order."""
-    _check_enumerable(n, max_n)
-    return [PairAction(VertexPermutation(p)) for p in permutations(range(1, n + 1))]
-
-
 def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     """Apply an induced position permutation to a weight vector.
 
-    Position s of the input lands at position ``action(s)`` of the result, so
-    the result holds the same multiset of weights rearranged the way a vertex
-    relabeling rearranges edges.
+    Position s of the input lands at position ``action.index_map[s-1]`` of the
+    result, so the result holds the same multiset of weights rearranged the
+    way a vertex relabeling rearranges edges.
     """
     if action.n != x.n:
         raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")

@@ -42,10 +42,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @classmethod
-    def unit(cls, nvars: int) -> Monomial:
-        return cls((0,) * nvars)
-
     def sort_key(self) -> tuple:
         # graded lex with x1 > x2 > ...: degree first, then the exponent tuple
         return (self.degree, self.exponents)
@@ -86,15 +82,6 @@ class Polynomial:
     def monomial(cls, exponents, coeff=1) -> Polynomial:
         exponents = tuple(exponents)
         return cls(len(exponents), {Monomial(exponents): _exact(coeff)})
-
-    @classmethod
-    def variable(cls, s: int, nvars: int) -> Polynomial:
-        """The coordinate polynomial x_s."""
-        if not 1 <= s <= nvars:
-            raise ValueError(f"variable index out of range 1..{nvars}: {s}")
-        exps = [0] * nvars
-        exps[s - 1] = 1
-        return cls.monomial(tuple(exps))
 
     @property
     def degree(self) -> int:
@@ -147,12 +134,12 @@ class Polynomial:
         :func:`paircanon.pairgroup.act`, so invariant polynomials are the
         fixed points of this map.
         """
-        if action.m != self.nvars:
+        imap = action.index_map
+        if len(imap) != self.nvars:
             raise ValueError(
                 f"variable count mismatch: polynomial has {self.nvars}, "
-                f"action has {action.m}"
+                f"action has {len(imap)}"
             )
-        imap = action.index_map
         moved = {
             Monomial(_scatter(mono.exponents, imap)): coeff
             for mono, coeff in self.terms.items()
@@ -186,9 +173,6 @@ class Polynomial:
             )
             lines.append(f"{self.terms[mono]} * {factors or '1'}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
     def __repr__(self) -> str:
         return f"Polynomial(nvars={self.nvars}, terms={len(self.terms)})"

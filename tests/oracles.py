@@ -3,8 +3,9 @@
 Everything here goes through symmetric adjacency matrices and raw index
 arithmetic, deliberately avoiding the package's position-permutation
 machinery, so agreement is a real cross-check rather than a tautology.
-The exceptions are :func:`frame_coset_check`, which states the frame's
-defining property in terms of the package's own canonizer and actions,
+The exceptions are :func:`all_actions`, the package's induced actions listed
+by ``itertools.permutations``; :func:`frame_coset_check`, which states the
+frame's defining property in terms of the package's own canonizer and actions,
 :func:`generating_set_by_scan`, the definition of the greedy generating set
 on the package's vertex permutations, and :func:`parse_weighted_by_line`,
 the edge-list parser written line by line.
@@ -24,13 +25,22 @@ from paircanon.pairgroup import (
     VertexPermutation,
     act,
     induced_pair_action,
-    pair_index,
 )
 
 
 def lex_pairs(n):
     """All pairs (i, j), i < j, of {1..n} in lexicographic order."""
     return list(combinations(range(1, n + 1), 2))
+
+
+def pair_position(i, j, n):
+    """1-based position of the pair (i, j), i < j, found by enumerating the pairs."""
+    return lex_pairs(n).index((i, j)) + 1
+
+
+def all_actions(n):
+    """The n! induced actions, ascending by one-line order of the source."""
+    return [PairAction(VertexPermutation(p)) for p in permutations(range(1, n + 1))]
 
 
 def matrix_of(n, weights):
@@ -123,10 +133,8 @@ def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:
         raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
     rx = canonical_form_pruned(x)
     ry = canonical_form_pruned(act(action, x))
-    composite = (
-        induced_pair_action(ry.frame)
-        .compose(action)
-        .compose(induced_pair_action(rx.frame).inverse())
+    composite = induced_pair_action(
+        ry.frame.compose(action.source).compose(rx.frame.inverse())
     )
     return act(composite, rx.canonical) == rx.canonical
 
@@ -173,8 +181,8 @@ def generating_set_by_scan(perms) -> list[VertexPermutation]:
 
 
 def parse_weighted_by_line(text: str) -> EdgeVector:
-    """The edge-list parser as first written: one ``Fraction`` and one
-    ``pair_index`` per line, the reference for :func:`paircanon.parse_weighted`
+    """The edge-list parser as first written: one ``Fraction`` and one pair
+    lookup per line, the reference for :func:`paircanon.parse_weighted`
     (which also refuses decimal exponents beyond +-4300 before converting)."""
     n = None
     weights = []
@@ -207,9 +215,11 @@ def parse_weighted_by_line(text: str) -> EdgeVector:
             raise ParseError(f"need i < j, got ({i}, {j})", lineno)
         try:
             w = Fraction(fields[2])
+            if max(abs(w.numerator), w.denominator) >= 10**4300:
+                raise ValueError  # more digits than CPython prints
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad weight literal: {fields[2]!r}", lineno) from None
-        s = pair_index(i, j, n)
+        s = pair_position(i, j, n)
         if s in seen:
             raise ParseError(
                 f"duplicate pair ({i}, {j}), first set on line {seen[s]}", lineno

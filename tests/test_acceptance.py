@@ -19,7 +19,6 @@ from paircanon.pairgroup import (
     EdgeVector,
     VertexPermutation,
     act,
-    enumerate_group,
     induced_pair_action,
 )
 from paircanon.polyinv import (
@@ -37,6 +36,7 @@ from paircanon.sortframe import (
 )
 
 from oracles import (
+    all_actions,
     all_simple_vectors,
     frame_coset_check,
     orbit_of,
@@ -170,7 +170,7 @@ def test_criterion_6_completeness_on_random_pairs():
 def test_criterion_7_equivariance_and_coset_property():
     started = time.perf_counter()
     rng = random.Random(2026)
-    group = enumerate_group(5)
+    group = all_actions(5)
     for _ in range(100):
         x = EdgeVector(5, random_rational_weights(rng, 10, distinct=True))
         rho = canonical_form_pruned(x).frame

@@ -260,7 +260,11 @@ def test_missing_file_exit_2(capsys):
     assert main(["canon", "/nonexistent/graph.txt"]) == 2
 
 
-@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+# the last three are within the exponent limit, but their values have more
+# than 4300 digits above or below the bar, which CPython cannot print
+@pytest.mark.parametrize(
+    "literal", ["1e999999999", "1e-999999999", "1e4300", "-1E-4300", "99e4299"]
+)
 def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, literal):
     path = write(tmp_path, "huge.txt", f"n 3\n1 2 1\n1 3 {literal}\n")
     start = time.perf_counter()
@@ -347,3 +351,25 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
             timeout=60,
         )
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_canon_does_not_load_polyinv_or_sortframe():
+    # the graph commands must not compile the algebra modules; attribute
+    # access on the package still loads them on demand
+    code = "\n".join(
+        [
+            "import io, sys",
+            "import paircanon.cli",
+            "sys.stdin = io.StringIO(%r)" % P4_TEXT,
+            "assert paircanon.cli.main(['canon', '--json', '-']) == 0",
+            "print([m for m in sys.modules if m.endswith(('.polyinv', '.sortframe'))])",
+            "import paircanon",
+            "print(paircanon.polyinv.reynolds.__name__, paircanon.sortframe.sort_frame.__name__)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(paircanon.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[1:] == ["[]", "reynolds sort_frame"]

@@ -16,11 +16,11 @@ from paircanon.pairgroup import (
     GroupSizeError,
     VertexPermutation,
     act,
-    enumerate_group,
     induced_pair_action,
 )
 
 from oracles import (
+    all_actions,
     all_simple_vectors,
     frame_coset_check,
     naive_canonical,
@@ -105,7 +105,7 @@ def test_bruteforce_respects_max_n():
 
 def test_canon_result_invariants_random():
     rng = random.Random(29)
-    group = enumerate_group(4)
+    group = all_actions(4)
     for _ in range(20):
         x = EdgeVector(4, random_simple_weights(rng, 6))
         result = canonical_form_bruteforce(x)
@@ -127,7 +127,7 @@ def test_canon_result_invariants_random():
 
 def test_stabilizer_is_exactly_the_fixing_set():
     rng = random.Random(31)
-    group = enumerate_group(4)
+    group = all_actions(4)
     for _ in range(10):
         x = EdgeVector(4, random_simple_weights(rng, 6))
         expected = {tau.source for tau in group if act(tau, x) == x}
@@ -201,7 +201,7 @@ def test_idempotence_sampled(n):
 
 def test_orbit_constancy_exhaustive_n4():
     rng = random.Random(53)
-    group = enumerate_group(4)
+    group = all_actions(4)
     for _ in range(20):
         x = EdgeVector(4, random_simple_weights(rng, 6))
         can = canonical_form_pruned(x).canonical
@@ -211,7 +211,7 @@ def test_orbit_constancy_exhaustive_n4():
 
 def test_orbit_constancy_exhaustive_group_n5():
     rng = random.Random(59)
-    group = enumerate_group(5)
+    group = all_actions(5)
     for _ in range(5):
         x = EdgeVector(5, random_rational_weights(rng, 10))
         can = canonical_form_pruned(x).canonical
@@ -230,7 +230,7 @@ def test_invariantize_equals_canonical_weights():
 
 def test_invariantize_orbit_constant_exhaustive_n4():
     rng = random.Random(61)
-    group = enumerate_group(4)
+    group = all_actions(4)
     for _ in range(20):
         x = EdgeVector(4, random_rational_weights(rng, 6))
         iv = invariantize(x)
@@ -306,7 +306,7 @@ def test_is_isomorphic_rejects_mismatched_n():
 
 def test_exact_equivariance_on_distinct_weights():
     rng = random.Random(79)
-    group = enumerate_group(5)
+    group = all_actions(5)
     for _ in range(10):
         x = EdgeVector(5, random_rational_weights(rng, 10, distinct=True))
         rho_x = canonical_form_pruned(x).frame
@@ -317,12 +317,12 @@ def test_exact_equivariance_on_distinct_weights():
 
 
 def test_coset_check_p4_all_group_elements():
-    for tau in enumerate_group(4):
+    for tau in all_actions(4):
         assert frame_coset_check(P4, tau)
 
 
 def test_coset_check_zero_vector():
-    for tau in enumerate_group(4):
+    for tau in all_actions(4):
         assert frame_coset_check(EdgeVector.zero(4), tau)
 
 
@@ -355,3 +355,38 @@ def test_frame_stable_under_order_preserving_perturbation():
             assert r1.frame == r2.frame
             assert r1.automorphisms == r2.automorphisms
             assert sorted(r1.canonical.weights) == sorted(w)
+
+
+#: strictly increasing maps of the weights used below, which lie in [-30, 30]
+MONOTONE_MAPS = {
+    "affine": lambda w: 3 * w + Fraction(1, 7),
+    "cubic": lambda w: w**3 + w,
+    "reciprocal": lambda w: -1 / (w + 31),
+}
+
+
+def _printed_generators(result):
+    return result.chain.greedy_generators() if result.chain else []
+
+
+@pytest.mark.parametrize("name", MONOTONE_MAPS)
+def test_monotone_map_commutes_with_canonization(name):
+    # both engines compare weights only by their order, so for a strictly
+    # increasing f the canonical vector of f(x) is f of that of x, and the
+    # frame and Aut do not move: the canonical coordinates are piecewise
+    # coordinate projections, one piece per cell of the arrangement x_s = x_t
+    f = MONOTONE_MAPS[name]
+    rng = random.Random(name)
+    cases = [(n, engine) for n in range(3, 8) for engine in ("brute", "pruned")]
+    cases += [(n, "pruned") for n in (10, 20, 30)]
+    for n, engine in cases:
+        m = n * (n - 1) // 2
+        for pool in (2, 3, m) * 2:  # simple graphs, heavy ties, mostly distinct
+            levels = [Fraction(rng.randrange(-90, 91), 3) for _ in range(pool)]
+            x = EdgeVector(n, tuple(rng.choice(levels) for _ in range(m)))
+            r = canonical_form(x, engine=engine)
+            rf = canonical_form(EdgeVector(n, tuple(map(f, x.weights))), engine=engine)
+            assert rf.canonical.weights == tuple(map(f, r.canonical.weights))
+            assert rf.frame == r.frame
+            assert rf.aut_order == r.aut_order
+            assert _printed_generators(rf) == _printed_generators(r)

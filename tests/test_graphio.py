@@ -13,7 +13,7 @@ from paircanon.graphio import (
     parse_graph6,
     parse_weighted,
 )
-from paircanon.pairgroup import EdgeVector, pair_index
+from paircanon.pairgroup import EdgeVector
 
 from oracles import all_simple_vectors, random_rational_weights
 
@@ -84,8 +84,10 @@ def test_parse_refuses_decimal_exponents_beyond_4300(literal):
 
 
 def test_parse_accepts_decimal_exponents_up_to_4300():
-    x = parse_weighted("n 3\n1 2 1e4300\n1 3 -1E-4300\n2 3 25e-4300\n")
-    assert x.weights == (Fraction(10**4300), Fraction(-1, 10**4300), Fraction(25, 10**4300))
+    # every accepted value can be printed: at most 4300 digits above and below the bar
+    x = parse_weighted("n 3\n1 2 1e4299\n1 3 -1E-4299\n2 3 25e-4300\n")
+    assert x.weights == (Fraction(10**4299), Fraction(-1, 10**4299), Fraction(25, 10**4300))
+    assert parse_weighted(emit_weighted(x)) == x
 
 
 # ---------------------------------------------------------- weighted: emit
@@ -121,8 +123,8 @@ def test_parse_then_emit_normalizes():
 def nx_graph6(x: EdgeVector) -> str:
     graph = nx.Graph()
     graph.add_nodes_from(range(x.n))
-    for (i, j) in combinations(range(1, x.n + 1), 2):
-        if x.weight(i, j):
+    for (i, j), w in zip(combinations(range(1, x.n + 1), 2), x.weights):
+        if w:
             graph.add_edge(i - 1, j - 1)
     return nx.to_graph6_bytes(graph, header=False).decode().strip()
 
@@ -158,10 +160,10 @@ def test_sampled_roundtrip_n6():
 def test_single_edge_positions_transpose_correctly(n):
     # graph6 packs bits grouped by the larger endpoint; verify every single
     # edge lands on the right bit by locating it independently
-    for i, j in combinations(range(1, n + 1), 2):
-        m = n * (n - 1) // 2
+    m = n * (n - 1) // 2
+    for s, (i, j) in enumerate(combinations(range(1, n + 1), 2)):
         weights = [Fraction(0)] * m
-        weights[pair_index(i, j, n) - 1] = Fraction(1)
+        weights[s] = Fraction(1)
         encoded = emit_graph6(EdgeVector(n, tuple(weights)))
         bitpos = (j - 1) * (j - 2) // 2 + (i - 1)  # rank of (i,j) in column order
         data = [ord(c) - 63 for c in encoded[1:]]
@@ -183,8 +185,10 @@ def test_large_n_size_field():
 
 
 def test_emit_rejects_non_simple():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^non-simple weight 1/2 at edge \(1, 2\)$"):
         emit_graph6(EdgeVector(4, ("1/2", 0, 0, 0, 0, 0)))
+    with pytest.raises(ValueError, match=r"^non-simple weight -3 at edge \(2, 4\)$"):
+        emit_graph6(EdgeVector(4, (0, 1, 0, 0, -3, 1)))
 
 
 def test_parse_graph6_malformed():

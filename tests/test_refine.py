@@ -24,17 +24,16 @@ from paircanon.pairgroup import (
     act,
     generating_set,
     induced_pair_action,
-    pair_index,
 )
 
-from oracles import frame_coset_check, random_permutation
+from oracles import frame_coset_check, pair_position, random_permutation
 
 
 def graph(n, edges):
     """Simple graph on 1..n with the given edges."""
     weights = [0] * (n * (n - 1) // 2)
     for i, j in edges:
-        weights[pair_index(min(i, j), max(i, j), n) - 1] = 1
+        weights[pair_position(min(i, j), max(i, j), n) - 1] = 1
     return EdgeVector(n, tuple(weights))
 
 
