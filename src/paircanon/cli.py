@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .pairgroup import (
     EdgeVector,
     GroupSizeError,
     _check_enumerable,
+    _exact,
 )
 
 EXIT_OK = 0
@@ -48,21 +48,20 @@ def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    generators = result.chain.greedy_generators() if result.chain else []
     if args.json:
         payload = {
             "n": x.n,
             "canonical": [str(w) for w in result.canonical.weights],
             "frame": list(result.frame.images),
             "aut_order": result.aut_order,
-            "aut_generators": [list(g.images) for g in generators],
+            "aut_generators": [list(g.images) for g in result.generators],
         }
         print(json.dumps(payload))
     else:
         print(f"canonical {_values(result.canonical.weights)}")
         print(f"frame {_values(result.frame.images)}")
         print(f"aut_order {result.aut_order}")
-        for g in generators:
+        for g in result.generators:
             print(f"aut_gen {_values(g.images)}")
     return EXIT_OK
 
@@ -176,8 +175,8 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     if not tokens:
         raise ValueError("empty vector")
     try:
-        values = tuple(Fraction(t) for t in tokens)
-    except (ValueError, ZeroDivisionError):
+        values = tuple(map(_exact, tokens))
+    except ValueError:
         raise ValueError(f"bad rational literal in vector: {args.vector!r}") from None
     v = PointVector(values)
     ordered, frame = sort_frame(v)

@@ -34,6 +34,7 @@ from .pairgroup import (
     _Chain,
     _check_enumerable,
     _group_table,
+    _orbit,
     _scatter,
 )
 
@@ -43,7 +44,9 @@ class CanonResult:
     """Canonical vector, the frame reaching it, and the input's stabilizer Aut.
 
     Aut is held as a stabilizer chain (``None`` for the trivial group).  Two
-    results are equal when their vectors, frames and groups are.
+    results are equal when their vectors, frames and greedy generating sets
+    are; the greedy set depends on the group alone, so equal sets mean equal
+    groups.
     """
 
     canonical: EdgeVector
@@ -62,10 +65,9 @@ class CanonResult:
 
     @cached_property
     def generators(self) -> tuple[VertexPermutation, ...]:
-        """Strong generators of Aut; () for the trivial group."""
-        if self.chain is None:
-            return ()
-        return tuple(VertexPermutation(tuple(v + 1 for v in s)) for s, _ in self.chain.gens[0])
+        """The greedy generating set of Aut (:meth:`_Chain.greedy_generators`),
+        which ``canon`` prints; () for the trivial group."""
+        return tuple(self.chain.greedy_generators()) if self.chain else ()
 
     @cached_property
     def automorphisms(self) -> frozenset[VertexPermutation]:
@@ -86,12 +88,8 @@ class CanonResult:
     def __eq__(self, other):
         if not isinstance(other, CanonResult):
             return NotImplemented
-        return (
-            self.canonical == other.canonical
-            and self.frame == other.frame
-            and self.aut_order == other.aut_order
-            and all(tuple(v - 1 for v in g.images) in self.chain for g in other.generators)
-        )
+        mine = (self.canonical, self.frame, self.generators)
+        return mine == (other.canonical, other.frame, other.generators)
 
     def __hash__(self):
         return hash((self.canonical, self.frame))
@@ -262,19 +260,6 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
     return _result(x, canonical, frame, automorphisms, max_n)
-
-
-def _orbit(points: list[int], perms: list[tuple[int, ...]]) -> set[int]:
-    """The union of the orbits of ``points`` under the group ``perms`` generate."""
-    orbit = set(points)
-    frontier = list(points)
-    while frontier:
-        p = frontier.pop()
-        for g in perms:
-            if g[p] not in orbit:
-                orbit.add(g[p])
-                frontier.append(g[p])
-    return orbit
 
 
 def canonical_form(

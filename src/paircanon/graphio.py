@@ -2,12 +2,11 @@
 
 The text format is a ``n <count>`` header followed by ``i j w`` lines with
 exact weight literals (integers, fractions ``p/q``, or decimal strings, all
-converted exactly, each distinct literal once per parse).  A decimal
-exponent beyond +-4300 makes a bad literal: ``Fraction`` would expand
-10**exponent, which for ``1e999999999`` never ends.  So does a value whose
-numerator or denominator has more than 4300 digits, which CPython cannot
-print.  graph6 is supported bit-exactly for simple graphs so output can be
-exchanged with the usual canonical-labeling tools.
+converted exactly, each distinct literal once per parse) read by the one
+rule of ``pairgroup._exact``, which refuses a decimal exponent beyond +-4300
+and a value CPython cannot print.  graph6 is supported bit-exactly for
+simple graphs so output can be exchanged with the usual canonical-labeling
+tools.
 """
 
 from __future__ import annotations
@@ -15,12 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .pairgroup import EdgeVector, _row_offsets, _scatter
+from .pairgroup import EdgeVector, _exact, _row_offsets, _scatter
 
 _G6_HEADER = ">>graph6<<"
-
-MAX_EXPONENT = 4300  #: largest decimal exponent: CPython's default int-str digit limit
-_UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT digits
 
 
 class ParseError(ValueError):
@@ -71,15 +67,8 @@ def parse_weighted(text: str) -> EdgeVector:
         w = exact.get(literal)
         if w is None:
             try:
-                # a literal Fraction accepts has at most one e, and int() reads its exponent
-                _, e, exponent = literal.replace("E", "e").partition("e")
-                if e and abs(int(exponent)) > MAX_EXPONENT:
-                    raise ValueError
-                w = Fraction(literal)
-                if abs(w.numerator) >= _UNPRINTABLE or w.denominator >= _UNPRINTABLE:
-                    raise ValueError
-                exact[literal] = w
-            except (ValueError, ZeroDivisionError):
+                w = exact[literal] = _exact(literal)
+            except ValueError:
                 raise ParseError(f"bad weight literal: {literal!r}", lineno) from None
         s = start[i] + j
         first = seen.setdefault(s, lineno)

@@ -6,9 +6,10 @@ vertices by a permutation of {1..n} shuffles the edge positions; the group of
 those induced position permutations, acting on weight vectors, is what the
 rest of the package canonizes against.  All scalars are exact rationals.
 Subgroups of vertex permutations, such as a graph's automorphism group, are
-held as Schreier-Sims stabilizer chains.
-The pair order, the application of a permutation, the group operations and
-the list of all n! relabelings each have one definition in this module.
+held as Schreier-Sims stabilizer chains, and a group's greedy generating set
+is read level by level from its one chain.  The pair order, the application
+of a permutation, the group operations, the list of all n! relabelings and
+the rule for an exact literal each have one definition in this module.
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ class GroupSizeError(ValueError):
     """An operation would enumerate a group beyond the configured limit."""
 
 
+MAX_EXPONENT = 4300  #: largest decimal exponent: CPython's default int-str digit limit
+_UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT digits
+
+
 def _exact(value) -> Fraction:
-    """Coerce a scalar to an exact rational; binary floats are refused."""
+    """Coerce a scalar to an exact rational; binary floats are refused, and so is
+    a string whose decimal exponent exceeds +-4300 (``Fraction`` would expand
+    10**exponent) or whose value has more digits than CPython prints."""
     if isinstance(value, float):
         raise TypeError(
             "float weights are not accepted; pass an int, a Fraction, or an "
@@ -38,7 +45,16 @@ def _exact(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     try:
-        return Fraction(value)
+        if not isinstance(value, str):
+            return Fraction(value)
+        # a literal Fraction accepts has at most one e, and int() reads its exponent
+        _, e, exponent = value.replace("E", "e").partition("e")
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError
+        w = Fraction(value)
+        if abs(w.numerator) >= _UNPRINTABLE or w.denominator >= _UNPRINTABLE:
+            raise ValueError
+        return w
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational literal: {value!r}") from exc
 
@@ -207,6 +223,19 @@ def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     return EdgeVector._from_exact(x.n, _scatter(x.weights, action.index_map))
 
 
+def _orbit(points: Iterable[int], perms: list[tuple[int, ...]]) -> set[int]:
+    """The union of the orbits of ``points`` under the group ``perms`` generate."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        p = frontier.pop()
+        for g in perms:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                frontier.append(g[p])
+    return orbit
+
+
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """``a`` after ``b``, on 0-based image tuples: the result maps i to a[b[i]]."""
     return tuple(map(a.__getitem__, b))
@@ -247,9 +276,6 @@ class _Chain:
                 g = _compose(entry[1], g)
         return None, self.n
 
-    def __contains__(self, g: tuple[int, ...]) -> bool:
-        return self._sift(g)[0] is None
-
     def add(self, g: tuple[int, ...]) -> bool:
         """Extend the group by g; False when g is in the group already.
 
@@ -287,9 +313,9 @@ class _Chain:
             work.extend((k, pair, b) for b in self.trans[k] if b != k or k == last)
         return work
 
-    def coset_min(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        """The one-line smallest element of the coset c.G, base point by base point."""
-        for orbit in self.trans:
+    def coset_min(self, c: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
+        """The one-line smallest member of c.G_level, base point by base point."""
+        for orbit in self.trans[level:]:
             if len(orbit) > 1:
                 c = _compose(c, orbit[min(orbit, key=c.__getitem__)][0])
         return c
@@ -304,29 +330,23 @@ class _Chain:
 
     def greedy_generators(self) -> list[VertexPermutation]:
         """Greedy in one-line order: each element, ascending, that is not in the
-        group the picks before it generate; [] for the trivial group.  The walk
-        skips a coset c.G_k whenever c and G_k both lie in the picks' group."""
-        n = self.n
-        picked = _Chain(n)
-        gens: list[VertexPermutation] = []
-        covered = [False] * n  # covered[k]: G_k lies in the picks' group
-        stack = [(0, tuple(range(n)))]  # (level k, coset representative c of c.G_k)
-        while stack:
-            k, c = stack.pop()
-            while k < n and len(self.trans[k]) == 1:
-                k += 1
-            if k == n:  # the coset is the one element c
-                if picked.add(c):
-                    gens.append(VertexPermutation(tuple(v + 1 for v in c)))
-                continue
-            if not covered[k]:
-                covered[k] = all(s in picked for s, _ in self.gens[k])
-            if covered[k] and c in picked:
-                continue
-            # the members of c.u.G_(k+1) send k to c[u[k]]: push them largest first
-            children = sorted(self.trans[k].items(), key=lambda item: c[item[0]], reverse=True)
-            stack += [(k + 1, _compose(c, u)) for _, (u, _) in children]
-        return gens
+        group the picks before it generate; [] for the trivial group.
+
+        In one-line order G_(k+1) precedes G_k minus G_(k+1), whose members sort
+        by their image of k first.  So when the scan reaches level k the picks
+        generate some H with G_(k+1) <= H <= G_k, and a member of G_k is in H
+        exactly when its image of k is in H's orbit of k: the picks at level k
+        are the smallest members of the cosets whose image of k is outside it.
+        """
+        picks: list[tuple[int, ...]] = []
+        for k in reversed(range(self.n)):
+            orbit = {k}
+            for b in sorted(self.trans[k]):
+                if b not in orbit:
+                    picks.append(self.coset_min(self.trans[k][b][0], k + 1))
+                    # deeper picks fix k but can move the points k reaches
+                    orbit = _orbit([k], picks)
+        return [VertexPermutation(tuple(v + 1 for v in g)) for g in picks]
 
 
 def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutation]:

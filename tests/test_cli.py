@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import paircanon
-from paircanon.cli import build_parser, main
+from paircanon.cli import build_parser, main, run
 from paircanon.frame import canonical_form_pruned
 from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6
 from paircanon.pairgroup import EdgeVector, VertexPermutation, act, induced_pair_action
@@ -246,6 +246,18 @@ def test_sortframe_demo_bad_literal(capsys):
     assert main(["sortframe-demo", "1,zebra"]) == 2
 
 
+# the literal rule of parse_weighted: an exponent beyond +-4300 is refused
+# before Fraction expands it, a value CPython cannot print after
+@pytest.mark.parametrize("vector", ["1e999999999", "1e4300,2", "3 -1E-4300", "99e4299,1"])
+def test_sortframe_demo_refuses_huge_literals_at_once(capsys, vector):
+    start = time.perf_counter()
+    assert main(["sortframe-demo", vector]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad rational literal in vector: {vector!r}\n"
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -274,6 +286,18 @@ def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, literal):
     assert captured.out == ""
     assert captured.err.startswith("error: line 3: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", ["p4", "/nonexistent/graph.txt"])
+def test_console_script_exits_with_mains_code(p4_file, capsys, monkeypatch, path):
+    argv = ["canon", p4_file if path == "p4" else path]
+    code = main(argv)
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["paircanon", *argv])
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == code
+    assert capsys.readouterr() == expected
 
 
 def _raise(exc):

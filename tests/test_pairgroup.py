@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -84,6 +85,17 @@ def test_edge_vector_validation():
         EdgeVector(4, (0, 0, 0))
     with pytest.raises(TypeError):
         EdgeVector(4, (0.5, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999", "1e4300", "-1E-4300", "99e4299"])
+def test_edge_vector_refuses_what_parse_weighted_refuses(literal):
+    # one rule for an exact literal: an exponent beyond +-4300 is refused
+    # before Fraction expands it, a value CPython cannot print after
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not an exact rational literal"):
+        EdgeVector(3, (literal, 0, 0))
+    assert time.perf_counter() - start < 1.0
+    assert EdgeVector(3, ("1e4299", "-1E-4299", 0)).weights[0] == 10**4299
 
 
 def test_edge_vector_exact_literals():
@@ -317,6 +329,27 @@ def test_generating_set_matches_greedy_scan_on_random_subgroups():
         assert generating_set(sorted(group)) == expected, gens
 
 
+#: the outer 5-cycle, the spokes and the inner pentagram, on vertices 0..9
+PETERSEN_EDGES = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+PETERSEN_EDGES += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+
+
+def _graph(n, edges):
+    """The simple graph on n vertices with the given 0-based edges."""
+    edges = {frozenset(e) for e in edges}
+    return EdgeVector(n, tuple(int({i - 1, j - 1} in edges) for i, j in lex_pairs(n)))
+
+
+def _bipartite(a, b):
+    return _graph(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
+
+
+def _cliques(k, size):
+    """k disjoint copies of the complete graph on ``size`` vertices."""
+    n = k * size
+    return _graph(n, [(i, j) for i in range(n) for j in range(i) if i // size == j // size])
+
+
 def test_generating_set_matches_greedy_scan_on_graph_groups():
     # every simple graph with n <= 5; with n = 6, every 5-vertex class plus a
     # sixth vertex joined to each subset, which reaches every 6-vertex class
@@ -329,9 +362,38 @@ def test_generating_set_matches_greedy_scan_on_graph_groups():
             weight = dict(zip(lex_pairs(5), w5))
             weight.update(((i, 6), (mask >> (i - 1)) & 1) for i in range(1, 6))
             graphs.append(EdgeVector(6, tuple(weight[p] for p in lex_pairs(6))))
+    # and symmetric graphs with n = 7..12 beyond those, |Aut| up to 10,080 (K2,7)
+    graphs += [_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(7, 13)]
+    graphs += [_bipartite(a, b) for a, b in ((3, 4), (3, 5), (4, 4), (3, 6), (4, 5), (2, 7))]
+    graphs += [_cliques(2, 4), _cliques(3, 3), _graph(10, PETERSEN_EDGES)]
+    graphs.append(_graph(8, [(i, i ^ 1 << b) for i in range(8) for b in range(3)]))  # Q3
     for x in graphs:
         result = canonical_form_pruned(x)
         expected = generating_set_by_scan(result.automorphisms)
+        assert list(result.generators) == expected, x
         found = generating_set(result.generators) if result.generators else []
         assert found == expected, x
         assert generating_set(sorted(result.automorphisms)) == expected, x
+
+
+@pytest.mark.parametrize("n", [30, 45, 60])
+def test_greedy_generators_beyond_the_scan(n):
+    # no scan of n! elements can run here: check that the picks ascend, that
+    # each one enlarges the group of the picks before it, and that together
+    # they generate Aut, of known order
+    from paircanon.frame import canonical_form_pruned
+
+    a = n // 3
+    cases = [
+        (_graph(n, []), math.factorial(n)),
+        (_graph(n, [(i, j) for i in range(n) for j in range(i)]), math.factorial(n)),
+        (_bipartite(a, n - a), math.factorial(a) * math.factorial(n - a)),
+    ]
+    for x, order in cases:
+        result = canonical_form_pruned(x)
+        assert result.aut_order == order
+        picks = [tuple(v - 1 for v in g.images) for g in result.generators]
+        assert picks == sorted(set(picks))
+        group = pairgroup._Chain(n)
+        assert all(group.add(g) for g in picks)
+        assert group.order == result.aut_order
