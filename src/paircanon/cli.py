@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
 parse error or recursion limit, 3 group-size limit or out of memory; an error
-prints one ``error:`` line on stderr, never a traceback.  The polyinv and
-sortframe modules are imported by the commands that use them, so a graph
+prints one ``error:`` line on stderr, never a traceback, and nothing on stdout,
+since each command builds its whole output before printing it.  The polyinv
+and sortframe modules are imported by the commands that use them, so a graph
 command does not load them.
 """
 
@@ -37,7 +38,13 @@ def _read_graph(path: str, fmt: str) -> EdgeVector:
 
 
 def _values(items) -> str:
-    return " ".join(str(v) for v in items)
+    return " ".join(map(str, items))
+
+
+def _emit(args: argparse.Namespace, payload: dict, *lines: str) -> None:
+    """Print the payload as JSON under ``--json``, else the lines.  Both are
+    built before anything is printed, so a failing command prints nothing."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
 
 
 def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
@@ -48,21 +55,23 @@ def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    if args.json:
-        payload = {
-            "n": x.n,
-            "canonical": [str(w) for w in result.canonical.weights],
-            "frame": list(result.frame.images),
-            "aut_order": result.aut_order,
-            "aut_generators": [list(g.images) for g in result.generators],
-        }
-        print(json.dumps(payload))
-    else:
-        print(f"canonical {_values(result.canonical.weights)}")
-        print(f"frame {_values(result.frame.images)}")
-        print(f"aut_order {result.aut_order}")
-        for g in result.generators:
-            print(f"aut_gen {_values(g.images)}")
+    canonical = [str(w) for w in result.canonical.weights]
+    generators = [g.images for g in result.generators]
+    payload = {
+        "n": x.n,
+        "canonical": canonical,
+        "frame": list(result.frame.images),
+        "aut_order": result.aut_order,
+        "aut_generators": [list(g) for g in generators],
+    }
+    _emit(
+        args,
+        payload,
+        f"canonical {' '.join(canonical)}",
+        f"frame {_values(result.frame.images)}",
+        f"aut_order {result.aut_order}",
+        *(f"aut_gen {_values(g)}" for g in generators),
+    )
     return EXIT_OK
 
 
@@ -71,52 +80,36 @@ def cmd_iso(args: argparse.Namespace) -> int:
     y = _read_graph(args.b, args.format)
     found, witness = is_isomorphic(x, y, engine=args.engine, max_n=args.max_n)
     if found:
-        if args.json:
-            print(json.dumps({"isomorphic": True, "witness": list(witness.images)}))
-        else:
-            print(f"isomorphic {_values(witness.images)}")
+        payload = {"isomorphic": True, "witness": list(witness.images)}
+        _emit(args, payload, f"isomorphic {_values(witness.images)}")
         return EXIT_OK
-    if args.json:
-        print(json.dumps({"isomorphic": False}))
-    else:
-        print("not isomorphic")
+    _emit(args, {"isomorphic": False}, "not isomorphic")
     return EXIT_NOT_ISOMORPHIC
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    automorphisms = sorted(result.automorphisms, key=lambda p: p.images)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": x.n,
-                    "aut_order": result.aut_order,
-                    "automorphisms": [list(p.images) for p in automorphisms],
-                }
-            )
-        )
-    else:
-        for p in automorphisms:
-            print(_values(p.images))
+    automorphisms = sorted(p.images for p in result.automorphisms)
+    payload = {
+        "n": x.n,
+        "aut_order": result.aut_order,
+        "automorphisms": [list(p) for p in automorphisms],
+    }
+    _emit(args, payload, *map(_values, automorphisms))
     return EXIT_OK
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    if args.json:
-        print(json.dumps({"n": x.n, "orbit_size": result.orbit_size}))
-    else:
-        print(f"orbit_size {result.orbit_size}")
+    payload = {"n": x.n, "orbit_size": result.orbit_size}
+    _emit(args, payload, f"orbit_size {result.orbit_size}")
     return EXIT_OK
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     _, result = _canonize(args)
-    if args.json:
-        print(json.dumps({"invariants": [str(w) for w in result.canonical.weights]}))
-    else:
-        print(_values(result.canonical.weights))
+    invariants = [str(w) for w in result.canonical.weights]
+    _emit(args, {"invariants": invariants}, " ".join(invariants))
     return EXIT_OK
 
 
@@ -129,11 +122,8 @@ def cmd_reynolds(args: argparse.Namespace) -> int:
     _check_enumerable(args.n, args.max_n)
     m = args.n * (args.n - 1) // 2
     f = parse_monomial(args.monomial, m)
-    g = reynolds(f, args.n, max_n=args.max_n)
-    if args.json:
-        print(json.dumps({"n": args.n, "terms": g.to_text().splitlines()}))
-    else:
-        print(g.to_text())
+    text = reynolds(f, args.n, max_n=args.max_n).to_text()
+    _emit(args, {"n": args.n, "terms": text.splitlines()}, text)
     return EXIT_OK
 
 
@@ -143,28 +133,19 @@ def cmd_classify_n4(args: argparse.Namespace) -> int:
     classes = classify_simple_graphs_n4()
     rows = []
     for key, members in classes.items():
-        representative = canonical_form(members[0], engine=args.engine).canonical
-        rows.append((representative.weights, key, representative, len(members)))
+        representative = canonical_form(members[0]).canonical
+        rows.append((representative.weights, key, emit_graph6(representative), len(members)))
     rows.sort(key=lambda row: row[0])
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "classes": [
-                        {
-                            "id": idx,
-                            "invariants": [str(v) for v in key],
-                            "graph6": emit_graph6(rep),
-                            "orbit_size": size,
-                        }
-                        for idx, (_, key, rep, size) in enumerate(rows, start=1)
-                    ]
-                }
-            )
-        )
-    else:
-        for idx, (_, key, rep, size) in enumerate(rows, start=1):
-            print(f"{idx} {_values(key)} {emit_graph6(rep)} {size}")
+    payload = {
+        "classes": [
+            {"id": idx, "invariants": [str(v) for v in key], "graph6": g6, "orbit_size": size}
+            for idx, (_, key, g6, size) in enumerate(rows, start=1)
+        ]
+    }
+    lines = (
+        f"{idx} {_values(key)} {g6} {size}" for idx, (_, key, g6, size) in enumerate(rows, start=1)
+    )
+    _emit(args, payload, *lines)
     return EXIT_OK
 
 
@@ -180,21 +161,16 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
         raise ValueError(f"bad rational literal in vector: {args.vector!r}") from None
     v = PointVector(values)
     ordered, frame = sort_frame(v)
-    elementary = [elementary_symmetric(k, v) for k in range(1, v.n + 1)]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "sorted": [str(w) for w in ordered.values],
-                    "frame": list(frame.images),
-                    "elementary": [str(e) for e in elementary],
-                }
-            )
-        )
-    else:
-        print(f"sorted {_values(ordered.values)}")
-        print(f"frame {_values(frame.images)}")
-        print(f"e {_values(elementary)}")
+    ordered_text = [str(w) for w in ordered.values]
+    elementary = [str(elementary_symmetric(k, v)) for k in range(1, v.n + 1)]
+    payload = {"sorted": ordered_text, "frame": list(frame.images), "elementary": elementary}
+    _emit(
+        args,
+        payload,
+        f"sorted {' '.join(ordered_text)}",
+        f"frame {_values(frame.images)}",
+        f"e {' '.join(elementary)}",
+    )
     return EXIT_OK
 
 
@@ -271,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "classify-n4",
-        parents=[out_opts, engine_opts],
+        parents=[out_opts],
         help="the 11 simple-graph classes on 4 vertices",
     )
     p.set_defaults(func=cmd_classify_n4)

@@ -151,17 +151,20 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     without a label: rows 0..k-1 are smallest only if labels k+1..n go to the
     cells in order, so label k+1 goes to a member of the first cell.  Choosing
     v splits every cell by the weight to v, ascending, which settles row k.
-    Only the siblings with the smallest row k survive, and a branch whose rows
-    exceed the incumbent's is cut.
+    Only the siblings with the smallest row k survive, and they share that row;
+    a branch whose rows exceed the incumbent's is cut.  A row k below the
+    incumbent's makes the incumbent record the beaten prefix, with a value
+    above every row in each later row, so the first leaf beneath replaces it.
 
     A leaf whose rows equal the incumbent's gives an automorphism g, with
     g(incumbent's order[a]) = order[a].  The search then returns to the node
     where this leaf's path left the incumbent's: the subtree it leaves is the
-    g-image of one already searched.  A child is skipped when an automorphism
-    found so far that fixes the labelled prefix maps an explored sibling to
-    it.  The automorphisms found generate Aut, which is kept as a stabilizer
-    chain.  The search runs on the integer ranks of the weights, with an
-    explicit stack.
+    g-image of one already searched.  Each depth keeps one record for the
+    current parent: how many automorphisms it has examined, those among them
+    that fix the labelled prefix, and the explored children closed under
+    those, which are skipped.  The automorphisms found generate Aut, which is
+    kept as a stabilizer chain.  The search runs on the integer ranks of the
+    weights, with an explicit stack.
     """
     n = x.n
     # Fraction hashing and comparison run in Python: key by (numerator,
@@ -177,39 +180,32 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
         R[i][j] = R[j][i] = rank_of[key]
 
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
+    top = (len(levels),)  # above every row, since every rank is below len(levels)
     rows: list[tuple[int, ...]] = [()] * (n - 1)  # rows of the current branch
-    best: list[tuple[int, ...]] | None = None  # rows of the incumbent
-    best_order: list[int] = []  # order of the incumbent's first leaf
+    # rows of the incumbent, or of a prefix that beat it followed by top rows
+    best: list[tuple[int, ...]] = [top] * (n - 1)
+    best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
     automorphisms: list[tuple[int, ...]] = []  # found so far, 0-based images
-    # per depth: the vertices of the children explored under the current
-    # parent, and (len(automorphisms), the ones fixing the parent's prefix,
-    # the orbit of the explored vertices under those) once automorphisms exist
-    explored: list[list[int]] = [[] for _ in range(n + 1)]
-    orbits: list[tuple | None] = [None] * (n + 1)
-    # (depth, vertex labelled depth, its row, cells after it, below, incumbent
-    # at push time); below: rows[:depth] < that incumbent's, or it was None
-    stack = [(0, -1, (), [list(range(n))], True, None)]
+    # per depth: (automorphisms examined, those fixing the parent's prefix, the
+    # children explored under the current parent closed under those)
+    tried: list[tuple | None] = [None] * (n + 1)
+    stack = [(0, -1, [list(range(n))])]  # (depth, vertex labelled depth, cells after it)
     while stack:
-        depth, v, row, cells, below, pushed_best = stack.pop()
+        depth, v, cells = stack.pop()
         if depth:
-            if automorphisms:
-                cached = orbits[depth]
-                if cached is None or cached[0] != len(automorphisms):
-                    prefix = order[: depth - 1]
-                    fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
-                    cached = (len(automorphisms), fixing, _orbit(explored[depth], fixing))
-                    orbits[depth] = cached
-                if v in cached[2]:
-                    continue
-                cached[2].update(_orbit([v], cached[1]))
-            explored[depth].append(v)
+            count, fixing, seen = tried[depth]
+            if count < len(automorphisms):
+                prefix = order[: depth - 1]
+                fixing += [g for g in automorphisms[count:] if all(g[u] == u for u in prefix)]
+                seen = _orbit(seen, fixing)
+                tried[depth] = (len(automorphisms), fixing, seen)
+            if v in seen:
+                continue
+            if fixing:
+                seen.update(_orbit([v], fixing))
+            else:
+                seen.add(v)
             order[depth - 1] = v
-            rows[depth - 1] = row
-        if pushed_best is not best:
-            # A leaf replaced the incumbent after this entry was pushed.  The
-            # leaf descends from a sibling of this entry, and kept siblings
-            # share rows[:depth], so the prefix now equals the incumbent's.
-            below = False
         if len(cells) == n - depth:
             # discrete: the rest of the relabeling, and so every row, is forced
             for a, cell in enumerate(cells, start=depth):
@@ -217,7 +213,9 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             for a in range(depth, n - 1):
                 Ra = R[order[a]]
                 rows[a] = tuple(Ra[u] for u in order[a + 1 :])
-            if below or rows[depth:] < best[depth:]:
+            # rows[:depth] equal best[:depth]; below a beaten prefix the first
+            # leaf wins by best_order, since at depth n-1 its tail is empty
+            if best_order is None or rows[depth:] < best[depth:]:
                 best, best_order = rows.copy(), order.copy()
             elif rows[depth:] == best[depth:]:
                 automorphisms.append(_scatter(order, [u + 1 for u in best_order]))
@@ -246,16 +244,16 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     child_cells.append(groups[r])
             children.append((tuple(child_row), u, child_cells))
         least = min(child[0] for child in children)
-        child_below = below
-        if not below:
-            if least > best[depth]:
-                continue
-            child_below = least < best[depth]
-        explored[depth + 1] = []
-        orbits[depth + 1] = None
+        if least > best[depth]:
+            continue
+        if least < best[depth]:
+            best[depth:] = [least] + [top] * (n - 2 - depth)
+            best_order = None
+        rows[depth] = least
+        tried[depth + 1] = (0, [], set())
         for child_row, u, child_cells in children:
             if child_row == least:
-                stack.append((depth + 1, u, child_row, child_cells, child_below, best))
+                stack.append((depth + 1, u, child_cells))
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])

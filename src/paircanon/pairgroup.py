@@ -36,27 +36,28 @@ _UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT
 def _exact(value) -> Fraction:
     """Coerce a scalar to an exact rational; binary floats are refused, and so is
     a string whose decimal exponent exceeds +-4300 (``Fraction`` would expand
-    10**exponent) or whose value has more digits than CPython prints."""
+    10**exponent) or any value with more digits than CPython prints."""
     if isinstance(value, float):
         raise TypeError(
             "float weights are not accepted; pass an int, a Fraction, or an "
             "exact literal string such as '1/3' or '0.25'"
         )
-    if isinstance(value, Fraction):
-        return value
     try:
-        if not isinstance(value, str):
-            return Fraction(value)
-        # a literal Fraction accepts has at most one e, and int() reads its exponent
-        _, e, exponent = value.replace("E", "e").partition("e")
-        if e and abs(int(exponent)) > MAX_EXPONENT:
-            raise ValueError
-        w = Fraction(value)
-        if abs(w.numerator) >= _UNPRINTABLE or w.denominator >= _UNPRINTABLE:
-            raise ValueError
-        return w
+        if isinstance(value, str):
+            # a literal Fraction accepts has at most one e, and int() reads its exponent
+            _, e, exponent = value.replace("E", "e").partition("e")
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError
+        w = value if isinstance(value, Fraction) else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational literal: {value!r}") from exc
+    if abs(w.numerator) >= _UNPRINTABLE or w.denominator >= _UNPRINTABLE:
+        # only a string is shown: the repr of a number this long raises
+        shown = repr(value) if isinstance(value, str) else f"{type(value).__name__} value"
+        raise ValueError(
+            f"not an exact rational literal: {shown} (more than {MAX_EXPONENT} digits)"
+        )
+    return w
 
 
 @dataclass(frozen=True, order=True)

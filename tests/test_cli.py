@@ -223,6 +223,16 @@ def test_classify_n4_json(capsys):
     assert sum(c["orbit_size"] for c in payload["classes"]) == 64
 
 
+def test_classify_n4_takes_no_engine(capsys):
+    # both engines give the same classes, so the option is gone: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-n4", "--engine", "brute"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --engine brute" in captured.err
+
+
 # --------------------------------------------------------- sortframe-demo
 
 
@@ -256,6 +266,17 @@ def test_sortframe_demo_refuses_huge_literals_at_once(capsys, vector):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad rational literal in vector: {vector!r}\n"
+
+
+def test_sortframe_demo_prints_nothing_when_a_value_cannot_be_printed(capsys):
+    # every entry prints, but e_2 has more than 4300 digits: the whole output
+    # is built first, so stdout stays empty
+    for options in ([], ["--json"]):
+        assert main(["sortframe-demo", *options, "1e2000,1e2000,1e2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------ exit codes

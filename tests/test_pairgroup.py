@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -16,6 +17,8 @@ from paircanon.pairgroup import (
     generating_set,
     induced_pair_action,
 )
+from paircanon.polyinv import Polynomial
+from paircanon.sortframe import PointVector
 
 from oracles import (
     all_actions,
@@ -96,6 +99,27 @@ def test_edge_vector_refuses_what_parse_weighted_refuses(literal):
         EdgeVector(3, (literal, 0, 0))
     assert time.perf_counter() - start < 1.0
     assert EdgeVector(3, ("1e4299", "-1E-4299", 0)).weights[0] == 10**4299
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EdgeVector(3, (10**4300, 0, 0)),
+        lambda: EdgeVector(3, (Fraction(1, 10**4300), 0, 0)),
+        lambda: PointVector((10**4300,)),
+        lambda: Polynomial.monomial((1, 0, 0), coeff=10**4300),
+    ],
+    ids=["int", "fraction", "point", "polynomial"],
+)
+def test_every_value_must_be_printable(build):
+    # ints and Fractions follow the rule strings do; the message cannot show
+    # the value, whose repr would exceed the same limit
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert time.perf_counter() - start < 1.0
+    assert re.search(r"\d{4300}", str(exc.value)) is None
+    assert "more than 4300 digits" in str(exc.value)
 
 
 def test_edge_vector_exact_literals():
