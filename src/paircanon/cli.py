@@ -15,11 +15,13 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .frame import CanonResult, canonical_form, is_isomorphic
 from .graphio import ParseError, emit_graph6, parse_graph6, parse_weighted
 from .pairgroup import (
     DEFAULT_MAX_N,
+    MAX_EXPONENT,
     EdgeVector,
     GroupSizeError,
     _check_enumerable,
@@ -41,10 +43,13 @@ def _values(items) -> str:
     return " ".join(map(str, items))
 
 
-def _emit(args: argparse.Namespace, payload: dict, *lines: str) -> None:
-    """Print the payload as JSON under ``--json``, else the lines.  Both are
-    built before anything is printed, so a failing command prints nothing."""
-    print(json.dumps(payload) if args.json else "\n".join(lines))
+def _emit(
+    args: argparse.Namespace, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]
+) -> None:
+    """Print ``payload()`` as JSON under ``--json``, else the ``lines()``.  Only
+    the printed form is built, and wholly before anything is printed, so a
+    failing command prints nothing."""
+    print(json.dumps(payload()) if args.json else "\n".join(lines()))
 
 
 def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
@@ -57,20 +62,21 @@ def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
     canonical = [str(w) for w in result.canonical.weights]
     generators = [g.images for g in result.generators]
-    payload = {
-        "n": x.n,
-        "canonical": canonical,
-        "frame": list(result.frame.images),
-        "aut_order": result.aut_order,
-        "aut_generators": [list(g) for g in generators],
-    }
     _emit(
         args,
-        payload,
-        f"canonical {' '.join(canonical)}",
-        f"frame {_values(result.frame.images)}",
-        f"aut_order {result.aut_order}",
-        *(f"aut_gen {_values(g)}" for g in generators),
+        lambda: {
+            "n": x.n,
+            "canonical": canonical,
+            "frame": result.frame.images,
+            "aut_order": result.aut_order,
+            "aut_generators": generators,
+        },
+        lambda: [
+            f"canonical {' '.join(canonical)}",
+            f"frame {_values(result.frame.images)}",
+            f"aut_order {result.aut_order}",
+            *(f"aut_gen {_values(g)}" for g in generators),
+        ],
     )
     return EXIT_OK
 
@@ -80,36 +86,36 @@ def cmd_iso(args: argparse.Namespace) -> int:
     y = _read_graph(args.b, args.format)
     found, witness = is_isomorphic(x, y, engine=args.engine, max_n=args.max_n)
     if found:
-        payload = {"isomorphic": True, "witness": list(witness.images)}
-        _emit(args, payload, f"isomorphic {_values(witness.images)}")
+        images = witness.images
+        text = f"isomorphic {_values(images)}"
+        _emit(args, lambda: {"isomorphic": True, "witness": images}, lambda: [text])
         return EXIT_OK
-    _emit(args, {"isomorphic": False}, "not isomorphic")
+    _emit(args, lambda: {"isomorphic": False}, lambda: ["not isomorphic"])
     return EXIT_NOT_ISOMORPHIC
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
     automorphisms = sorted(p.images for p in result.automorphisms)
-    payload = {
-        "n": x.n,
-        "aut_order": result.aut_order,
-        "automorphisms": [list(p) for p in automorphisms],
-    }
-    _emit(args, payload, *map(_values, automorphisms))
+    _emit(
+        args,
+        lambda: {"n": x.n, "aut_order": result.aut_order, "automorphisms": automorphisms},
+        lambda: map(_values, automorphisms),
+    )
     return EXIT_OK
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    payload = {"n": x.n, "orbit_size": result.orbit_size}
-    _emit(args, payload, f"orbit_size {result.orbit_size}")
+    size = result.orbit_size
+    _emit(args, lambda: {"n": x.n, "orbit_size": size}, lambda: [f"orbit_size {size}"])
     return EXIT_OK
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     _, result = _canonize(args)
     invariants = [str(w) for w in result.canonical.weights]
-    _emit(args, {"invariants": invariants}, " ".join(invariants))
+    _emit(args, lambda: {"invariants": invariants}, lambda: [" ".join(invariants)])
     return EXIT_OK
 
 
@@ -123,7 +129,7 @@ def cmd_reynolds(args: argparse.Namespace) -> int:
     m = args.n * (args.n - 1) // 2
     f = parse_monomial(args.monomial, m)
     text = reynolds(f, args.n, max_n=args.max_n).to_text()
-    _emit(args, {"n": args.n, "terms": text.splitlines()}, text)
+    _emit(args, lambda: {"n": args.n, "terms": text.splitlines()}, lambda: [text])
     return EXIT_OK
 
 
@@ -136,16 +142,17 @@ def cmd_classify_n4(args: argparse.Namespace) -> int:
         representative = canonical_form(members[0]).canonical
         rows.append((representative.weights, key, emit_graph6(representative), len(members)))
     rows.sort(key=lambda row: row[0])
-    payload = {
-        "classes": [
-            {"id": idx, "invariants": [str(v) for v in key], "graph6": g6, "orbit_size": size}
-            for idx, (_, key, g6, size) in enumerate(rows, start=1)
-        ]
-    }
-    lines = (
-        f"{idx} {_values(key)} {g6} {size}" for idx, (_, key, g6, size) in enumerate(rows, start=1)
+    numbered = list(enumerate(rows, start=1))
+    _emit(
+        args,
+        lambda: {
+            "classes": [
+                {"id": idx, "invariants": [str(v) for v in key], "graph6": g6, "orbit_size": size}
+                for idx, (_, key, g6, size) in numbered
+            ]
+        },
+        lambda: (f"{idx} {_values(key)} {g6} {size}" for idx, (_, key, g6, size) in numbered),
     )
-    _emit(args, payload, *lines)
     return EXIT_OK
 
 
@@ -162,14 +169,22 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     v = PointVector(values)
     ordered, frame = sort_frame(v)
     ordered_text = [str(w) for w in ordered.values]
-    elementary = [str(elementary_symmetric(k, v)) for k in range(1, v.n + 1)]
-    payload = {"sorted": ordered_text, "frame": list(frame.images), "elementary": elementary}
+    elementary = []
+    for k in range(1, v.n + 1):
+        try:
+            elementary.append(str(elementary_symmetric(k, v)))
+        except ValueError:  # CPython refuses to print an int this long
+            raise ValueError(
+                f"e_{k} of {args.vector!r} has more than {MAX_EXPONENT} digits"
+            ) from None
     _emit(
         args,
-        payload,
-        f"sorted {' '.join(ordered_text)}",
-        f"frame {_values(frame.images)}",
-        f"e {' '.join(elementary)}",
+        lambda: {"sorted": ordered_text, "frame": frame.images, "elementary": elementary},
+        lambda: [
+            f"sorted {' '.join(ordered_text)}",
+            f"frame {_values(frame.images)}",
+            f"e {' '.join(elementary)}",
+        ],
     )
     return EXIT_OK
 

@@ -15,7 +15,10 @@ relabelings (the oracle, bounded by ``max_n``) and a row-refinement search
 over the integer ranks of the weights, in which each label settles one row.
 The search records the automorphisms it meets and prunes with them, so it
 visits far fewer leaves than |Aut|; Aut is held as a Schreier-Sims chain and
-enumerated only on request, up to ``max_n``! elements.
+enumerated only on request, up to ``max_n``! elements.  Twins, vertices with
+equal weights to every other vertex, are found before the search branches:
+each class's symmetric group lies in Aut, so its transpositions prune from
+the first label on and the chain holds it without sifting.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .pairgroup import (
     _group_table,
     _orbit,
     _scatter,
+    _transposition,
 )
 
 
@@ -103,17 +107,18 @@ class InvariantVector:
 
 
 def _result(
-    x: EdgeVector, canonical, frame, automorphisms: list[tuple[int, ...]], max_n: int
+    x: EdgeVector, canonical, frame, automorphisms: list[tuple], max_n: int, twins=()
 ) -> CanonResult:
-    """The result for a frame and automorphisms, both 0-based image tuples.
+    """The result for a frame and automorphisms, both 0-based image tuples, and
+    the twin classes, whose symmetric groups are in Aut too.
 
-    With no automorphism the group is trivial and ``frame`` is the only
-    minimizer; otherwise the frame is the smallest element of frame.Aut.
+    With neither the group is trivial and ``frame`` is the only minimizer;
+    otherwise the frame is the smallest element of frame.Aut.
     """
-    if not automorphisms:
+    if not automorphisms and not twins:
         chain = None
     else:
-        chain = _Chain(x.n, automorphisms)
+        chain = _Chain(x.n, automorphisms, twins)
         frame = chain.coset_min(frame)
     return CanonResult(
         EdgeVector._from_exact(x.n, canonical),
@@ -162,9 +167,11 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     g-image of one already searched.  Each depth keeps one record for the
     current parent: how many automorphisms it has examined, those among them
     that fix the labelled prefix, and the explored children closed under
-    those, which are skipped.  The automorphisms found generate Aut, which is
-    kept as a stabilizer chain.  The search runs on the integer ranks of the
-    weights, with an explicit stack.
+    those, which are skipped.  Before it pushes its children, the root finds
+    the twin classes from their rows and records the transpositions of
+    adjacent twins as automorphisms.  These and the automorphisms found
+    generate Aut, which is kept as a stabilizer chain.  The search runs on the
+    integer ranks of the weights, with an explicit stack.
     """
     n = x.n
     # Fraction hashing and comparison run in Python: key by (numerator,
@@ -185,7 +192,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     # rows of the incumbent, or of a prefix that beat it followed by top rows
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
-    automorphisms: list[tuple[int, ...]] = []  # found so far, 0-based images
+    twins: list[list[int]] = []  # classes of twins, found at the root
+    automorphisms: list[tuple[int, ...]] = []  # the twins' transpositions, then those found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
     tried: list[tuple | None] = [None] * (n + 1)
@@ -243,6 +251,9 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     child_row.extend([r] * len(groups[r]))
                     child_cells.append(groups[r])
             children.append((tuple(child_row), u, child_cells))
+        if not depth:
+            twins = _twin_classes(R, children)
+            automorphisms += (_transposition(n, a, b) for c in twins for a, b in zip(c, c[1:]))
         least = min(child[0] for child in children)
         if least > best[depth]:
             continue
@@ -257,7 +268,32 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
-    return _result(x, canonical, frame, automorphisms, max_n)
+    seeded = sum(len(c) - 1 for c in twins)
+    return _result(x, canonical, frame, automorphisms[seeded:], max_n, twins)
+
+
+def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
+    """The classes of two or more twins, vertices whose ranks to every other
+    vertex agree, each ascending.  Twins have equal sorted rows, the root's
+    child rows, so a vertex is compared only with the first member of each
+    class of its row: being twins is transitive.
+    """
+    by_row: dict[tuple[int, ...], list[list[int]]] = {}
+    twins = []
+    for row, u, _ in children:
+        classes = by_row.setdefault(row, [])
+        Ru = R[u]
+        for c in classes:
+            a = c[0]  # below u, as the root's children ascend
+            Ra, lo, hi = R[a], a + 1, u + 1
+            if Ra[:a] == Ru[:a] and Ra[lo:u] == Ru[lo:u] and Ra[hi:] == Ru[hi:]:
+                if len(c) == 1:
+                    twins.append(c)
+                c.append(u)
+                break
+        else:
+            classes.append([u])
+    return twins
 
 
 def canonical_form(

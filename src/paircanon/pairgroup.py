@@ -6,10 +6,12 @@ vertices by a permutation of {1..n} shuffles the edge positions; the group of
 those induced position permutations, acting on weight vectors, is what the
 rest of the package canonizes against.  All scalars are exact rationals.
 Subgroups of vertex permutations, such as a graph's automorphism group, are
-held as Schreier-Sims stabilizer chains, and a group's greedy generating set
-is read level by level from its one chain.  The pair order, the application
-of a permutation, the group operations, the list of all n! relabelings and
-the rule for an exact literal each have one definition in this module.
+held as Schreier-Sims stabilizer chains, whose levels for the symmetric
+groups of disjoint classes of points are built without sifting, and a
+group's greedy generating set is read level by level from its one chain.
+The pair order, the application of a permutation, the group operations, the
+list of all n! relabelings and the rule for an exact literal each have one
+definition in this module.
 """
 
 from __future__ import annotations
@@ -121,16 +123,9 @@ class EdgeVector:
         object.__setattr__(x, "weights", weights)
         return x
 
-    @property
-    def m(self) -> int:
-        return len(self.weights)
-
     @classmethod
     def zero(cls, n: int) -> EdgeVector:
         return cls(n, (Fraction(0),) * (n * (n - 1) // 2))
-
-    def is_simple(self) -> bool:
-        return all(w == 0 or w == 1 for w in self.weights)
 
 
 def _scatter(values, index_map) -> tuple:
@@ -237,6 +232,13 @@ def _orbit(points: Iterable[int], perms: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
+def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The transposition of the points a and b of 0..n-1, as an image tuple."""
+    images = list(range(n))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """``a`` after ``b``, on 0-based image tuples: the result maps i to a[b[i]]."""
     return tuple(map(a.__getitem__, b))
@@ -251,13 +253,29 @@ class _Chain:
     u[k] == b.  So |G| is the product of the orbit lengths, and G_k is the
     union of the cosets u.G_(k+1) (Sims 1970; Seress, *Permutation Group
     Algorithms*, 2003, ch. 4).  Permutations are 0-based image tuples.
+
+    The group is generated by ``gens`` and the symmetric groups of the
+    ``twins``, disjoint ascending lists of points.  Their product is built
+    without sifting: the orbit of a class member k is the rest of its class
+    from k on, each point b reached by the transposition (k b), its own
+    inverse, and gens[k] holds the transpositions of adjacent class members
+    whose smaller point is at least k.
     """
 
-    def __init__(self, n: int, gens: Iterable[tuple[int, ...]] = ()):
+    def __init__(self, n: int, gens: Iterable[tuple] = (), twins: Iterable[list[int]] = ()):
         identity = tuple(range(n))
         self.n = n
         self.gens: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1) pairs
         self.trans = [{k: (identity, identity)} for k in range(n)]
+        for twin_class in twins:
+            for i, k in enumerate(twin_class):
+                for b in twin_class[i + 1 :]:
+                    t = _transposition(n, k, b)
+                    self.trans[k][b] = (t, t)
+            for k, b in zip(twin_class, twin_class[1:]):
+                pair = self.trans[k][b]
+                for level in range(k + 1):
+                    self.gens[level].append(pair)
         for g in gens:
             self.add(g)
 

@@ -33,6 +33,16 @@ def lex_pairs(n):
     return list(combinations(range(1, n + 1), 2))
 
 
+def pair_count(x):
+    """The number of pairs, C(n,2), of an edge vector."""
+    return len(x.weights)
+
+
+def is_simple(x):
+    """Whether every weight of an edge vector is 0 or 1."""
+    return all(w == 0 or w == 1 for w in x.weights)
+
+
 def pair_position(i, j, n):
     """1-based position of the pair (i, j), i < j, found by enumerating the pairs."""
     return lex_pairs(n).index((i, j)) + 1
@@ -102,6 +112,39 @@ def random_rational_weights(rng: random.Random, m: int, distinct: bool = False):
 
 def random_simple_weights(rng: random.Random, m: int):
     return tuple(Fraction(rng.randrange(2)) for _ in range(m))
+
+
+def twin_graph_weights(rng: random.Random, n: int, classes: int):
+    """Weights of a graph whose n vertices fall into ``classes`` groups of twins.
+
+    Each group gets its own internal weight, neither 0 nor 1, and each two
+    groups a cross weight from a small pool, so groups may also be twins of
+    one another.  Vertices are assigned to groups at random.
+    """
+    group = [rng.randrange(classes) for _ in range(n)]
+    inner = rng.sample([Fraction(p, q) for p in (-3, 5, 7) for q in (2, 3)], classes)
+    cross = {}
+    for i, j in combinations(range(classes), 2):
+        cross[i, j] = cross[j, i] = rng.choice((0, 1, Fraction(1, 2)))
+    return tuple(
+        inner[group[i - 1]] if group[i - 1] == group[j - 1] else cross[group[i - 1], group[j - 1]]
+        for i, j in lex_pairs(n)
+    )
+
+
+def twin_classes(n, weights):
+    """The classes of two or more vertices with equal weights to every other
+    vertex, 0-based and ascending, by comparing matrix rows pairwise."""
+    W = matrix_of(n, weights)
+    classes = []
+    for u in range(1, n + 1):
+        for c in classes:
+            if all(W[c[0] + 1][w] == W[u][w] for w in range(1, n + 1) if w not in (c[0] + 1, u)):
+                c.append(u - 1)
+                break
+        else:
+            classes.append([u - 1])
+    return [c for c in classes if len(c) > 1]
 
 
 def random_permutation(rng: random.Random, n: int):

@@ -269,7 +269,7 @@ def test_sortframe_demo_refuses_huge_literals_at_once(capsys, vector):
 
 
 def test_sortframe_demo_prints_nothing_when_a_value_cannot_be_printed(capsys):
-    # every entry prints, but e_2 has more than 4300 digits: the whole output
+    # every entry prints, but e_3 has more than 4300 digits: the whole output
     # is built first, so stdout stays empty
     for options in ([], ["--json"]):
         assert main(["sortframe-demo", *options, "1e2000,1e2000,1e2000"]) == 2
@@ -277,6 +277,16 @@ def test_sortframe_demo_prints_nothing_when_a_value_cannot_be_printed(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+def test_sortframe_demo_names_the_unprintable_elementary_value(capsys):
+    # e_1 = 3e2000 and e_2 = 3e4000 print; e_3 = 1e6000 does not
+    vector = "1e2000,1e2000,1e2000"
+    for options in ([], ["--json"]):
+        assert main(["sortframe-demo", *options, vector]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: e_3 of {vector!r} has more than 4300 digits\n"
 
 
 # ------------------------------------------------------------ exit codes

@@ -30,6 +30,8 @@ from oracles import (
     random_permutation,
     random_rational_weights,
     random_simple_weights,
+    twin_classes,
+    twin_graph_weights,
 )
 
 P4 = EdgeVector(4, (1, 0, 0, 1, 0, 1))
@@ -161,6 +163,17 @@ def test_pruned_handles_repeated_weights():
         # small weight pool forces heavy ties, the hard case for pruning
         w = tuple(Fraction(rng.randrange(3)) for _ in range(10))
         x = EdgeVector(5, w)
+        assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+def test_pruned_agrees_with_bruteforce_on_weighted_twins(n):
+    # fewer groups than vertices, so some have twins; internal weights other
+    # than 0 and 1, one per group
+    rng = random.Random(47 + n)
+    for _ in range(12):
+        x = EdgeVector(n, twin_graph_weights(rng, n, rng.randrange(1, min(n - 1, 4) + 1)))
+        assert twin_classes(n, x.weights)
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
 
 

@@ -25,9 +25,11 @@ from oracles import (
     all_simple_vectors,
     closure,
     generating_set_by_scan,
+    is_simple,
     lex_pairs,
     random_permutation,
     random_rational_weights,
+    twin_classes,
 )
 
 
@@ -126,8 +128,8 @@ def test_edge_vector_exact_literals():
     x = EdgeVector(4, ("1/3", "0.25", 0, 1, "-2", Fraction(7, 2)))
     assert x.weights[0] == Fraction(1, 3)
     assert x.weights[1] == Fraction(1, 4)
-    assert not x.is_simple()
-    assert EdgeVector(4, (1, 0, 0, 1, 0, 1)).is_simple()
+    assert not is_simple(x)
+    assert is_simple(EdgeVector(4, (1, 0, 0, 1, 0, 1)))
 
 
 # ------------------------------------------------------ induced_pair_action
@@ -398,6 +400,66 @@ def test_generating_set_matches_greedy_scan_on_graph_groups():
         found = generating_set(result.generators) if result.generators else []
         assert found == expected, x
         assert generating_set(sorted(result.automorphisms)) == expected, x
+
+
+def _twin_transpositions(n, twins):
+    return [pairgroup._transposition(n, a, b) for c in twins for a, b in zip(c, c[1:])]
+
+
+def _assert_same_group(built, sifted):
+    assert built.order == sifted.order
+    assert [set(orbit) for orbit in built.trans] == [set(orbit) for orbit in sifted.trans]
+    if built.n <= 7:
+        assert sorted(built.elements()) == sorted(sifted.elements())
+    assert built.greedy_generators() == sifted.greedy_generators()
+
+
+#: graphs with twin classes, and an automorphism outside the twins' groups
+TWIN_CASES = [
+    (_bipartite(3, 3), (3, 4, 5, 0, 1, 2)),
+    (_cliques(3, 3), (3, 4, 5, 6, 7, 8, 0, 1, 2)),
+]
+
+
+def _weighted_twins():
+    """Twin classes {0, 3, 5}, {1, 6}, {2, 4} with internal weights 5/2, -1/3
+    and 7, and the weight 2 between any two classes."""
+    group = [None, 0, 1, 2, 0, 2, 0, 1]  # by 1-based vertex
+    inner = [Fraction(5, 2), Fraction(-1, 3), 7]
+    return EdgeVector(
+        7, tuple(inner[group[i]] if group[i] == group[j] else 2 for i, j in lex_pairs(7))
+    )
+
+
+@pytest.mark.parametrize(
+    "x, extra",
+    TWIN_CASES
+    + [
+        (_weighted_twins(), (1, 2, 3, 4, 5, 6, 0)),
+        # the twins fix 0, which the extra generator moves into their class
+        (_graph(5, [(0, i) for i in range(1, 5)]), (1, 0, 2, 3, 4)),
+    ],
+    ids=["K3,3", "3K3", "weighted", "K1,4"],
+)
+def test_twin_chain_matches_the_sifted_chain(x, extra):
+    # the symmetric groups of the twin classes built directly, against the
+    # same transpositions added by Schreier-Sims; then one more generator
+    twins = twin_classes(x.n, x.weights)
+    built = pairgroup._Chain(x.n, twins=twins)
+    sifted = pairgroup._Chain(x.n, _twin_transpositions(x.n, twins))
+    assert built.order == math.prod(math.factorial(len(c)) for c in twins)
+    _assert_same_group(built, sifted)
+    assert built.add(extra) and sifted.add(extra)
+    _assert_same_group(built, sifted)
+    assert not built.add(extra)
+
+
+def test_weighted_twin_classes_are_found():
+    from paircanon.frame import canonical_form_pruned
+
+    x = _weighted_twins()
+    assert twin_classes(x.n, x.weights) == [[0, 3, 5], [1, 6], [2, 4]]
+    assert canonical_form_pruned(x).aut_order == 6 * 2 * 2
 
 
 @pytest.mark.parametrize("n", [30, 45, 60])

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,15 +27,13 @@ from paircanon.pairgroup import (
     induced_pair_action,
 )
 
-from oracles import frame_coset_check, pair_position, random_permutation
+from oracles import frame_coset_check, lex_pairs, random_permutation
 
 
 def graph(n, edges):
     """Simple graph on 1..n with the given edges."""
-    weights = [0] * (n * (n - 1) // 2)
-    for i, j in edges:
-        weights[pair_position(min(i, j), max(i, j), n) - 1] = 1
-    return EdgeVector(n, tuple(weights))
+    edges = {(min(i, j), max(i, j)) for i, j in edges}
+    return EdgeVector(n, tuple(int(pair in edges) for pair in lex_pairs(n)))
 
 
 def cycle(n):
@@ -107,13 +106,21 @@ def test_known_automorphism_group_orders(x, order):
         (complete_bipartite(1, 29), math.factorial(29)),
         (complete_bipartite(15, 15), 2 * math.factorial(15) ** 2),
         (cycle(30), 2 * 30),
+        # twin classes give these groups without search: each canonizes in
+        # under a second, where searching for S_150 took about 30 s
+        (EdgeVector.zero(150), math.factorial(150)),
+        (graph(150, combinations(range(1, 151), 2)), math.factorial(150)),
+        (complete_bipartite(1, 149), math.factorial(149)),
+        (complete_bipartite(75, 75), 2 * math.factorial(75) ** 2),
     ],
-    ids=["empty30", "complete30", "K1,29", "K15,15", "C30"],
+    ids=["empty30", "complete30", "K1,29", "K15,15", "C30"]
+    + ["empty150", "complete150", "K1,149", "K75,75"],
 )
 def test_large_symmetric_groups(x, order, tmp_path, capsys):
+    start = time.perf_counter()
     result = canonical_form_pruned(x)
     assert result.aut_order == order
-    assert result.orbit_size == math.factorial(30) // order
+    assert result.orbit_size == math.factorial(x.n) // order
     path = tmp_path / "x.txt"
     path.write_text(emit_weighted(x))
     assert main(["canon", "--json", str(path)]) == 0
@@ -123,11 +130,12 @@ def test_large_symmetric_groups(x, order, tmp_path, capsys):
     for images in payload["aut_generators"]:
         assert act(induced_pair_action(VertexPermutation(tuple(images))), x) == x
     rng = random.Random(f"relabel-{order}")
-    tau = induced_pair_action(VertexPermutation(random_permutation(rng, 30)))
+    tau = induced_pair_action(VertexPermutation(random_permutation(rng, x.n)))
     assert frame_coset_check(x, tau)
     relabeled = canonical_form_pruned(act(tau, x))
     assert relabeled.canonical == result.canonical
     assert relabeled.aut_order == order
+    assert time.perf_counter() - start < 10
 
 
 # generating sets as printed by the prefix-pruned engine this one replaced
