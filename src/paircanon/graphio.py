@@ -1,12 +1,13 @@
 """Reading and writing graphs: weighted edge-list text and the graph6 format.
 
-The text format is a ``n <count>`` header followed by ``i j w`` lines with
-exact weight literals (integers, fractions ``p/q``, or decimal strings, all
-converted exactly, each distinct literal once per parse) read by the one
-rule of ``pairgroup._exact``, which refuses a decimal exponent beyond +-4300
-and a value CPython cannot print.  graph6 is supported bit-exactly for
-simple graphs so output can be exchanged with the usual canonical-labeling
-tools.
+The text format is a ``n <count>`` header, at most MAX_VERTICES and checked
+before anything is allocated, followed by ``i j w`` lines with exact weight
+literals (integers, fractions ``p/q``, or decimal strings, all converted
+exactly, each distinct literal once per parse) read by the one rule of
+``pairgroup._exact``, which reads integers and ``p/q`` of up to 4300
+characters with ``int()``, refuses a decimal exponent beyond +-4300 and a
+value CPython cannot print.  graph6 is supported bit-exactly for simple
+graphs so output can be exchanged with the usual canonical-labeling tools.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import combinations, islice
 from .pairgroup import EdgeVector, _exact, _row_offsets, _scatter
 
 _G6_HEADER = ">>graph6<<"
+
+MAX_VERTICES = 3000  #: largest ``n <count>`` accepted: parsing at the limit peaks near 84 MB
 
 
 class ParseError(ValueError):
@@ -50,6 +53,8 @@ def parse_weighted(text: str) -> EdgeVector:
                 raise ParseError(f"bad vertex count: {fields[1]!r}", lineno) from None
             if n < 3:
                 raise ParseError(f"need at least 3 vertices, got {n}", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
             weights = [Fraction(0)] * (n * (n - 1) // 2)
             start = _row_offsets(n)
             continue
@@ -82,14 +87,18 @@ def parse_weighted(text: str) -> EdgeVector:
 
 def emit_weighted(x: EdgeVector) -> str:
     """Canonical text form: header plus the nonzero edges in pair order."""
-    lines = [f"n {x.n}"]
+    n, weights = x.n, x.weights
+    lines = [f"n {n}"]
+    label = [f"{v} " for v in range(n + 1)]
     literal: dict[int, str] = {}  # id of a weight -> its text, "" for 0
-    for (i, j), w in zip(combinations(range(1, x.n + 1), 2), x.weights):
-        t = literal.get(id(w))
-        if t is None:
-            t = literal[id(w)] = f"{w}" if w else ""
-        if t:
-            lines.append(f"{i} {j} {t}")
+    for i, s in enumerate(_row_offsets(n)[1:], start=1):
+        row = label[i]
+        for j, w in enumerate(weights[s + i : s + n], start=i + 1):  # row i's pairs
+            t = literal.get(id(w))
+            if t is None:
+                t = literal[id(w)] = f"{w}" if w else ""
+            if t:
+                lines.append(f"{row}{label[j]}{t}")
     return "\n".join(lines) + "\n"
 
 

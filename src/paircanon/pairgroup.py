@@ -38,7 +38,9 @@ _UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT
 def _exact(value) -> Fraction:
     """Coerce a scalar to an exact rational; binary floats are refused, and so is
     a string whose decimal exponent exceeds +-4300 (``Fraction`` would expand
-    10**exponent) or any value with more digits than CPython prints."""
+    10**exponent) or any value with more digits than CPython prints.  An ASCII
+    ``[+-]digits[/digits]`` of at most MAX_EXPONENT characters, always printable,
+    is read by ``int()``: the value and errors of ``Fraction(str)``, in half the time."""
     if isinstance(value, float):
         raise TypeError(
             "float weights are not accepted; pass an int, a Fraction, or an "
@@ -46,6 +48,11 @@ def _exact(value) -> Fraction:
         )
     try:
         if isinstance(value, str):
+            # the integer path; a str subclass may override the methods it calls
+            if type(value) is str and len(value) <= MAX_EXPONENT and value.isascii():
+                num, slash, den = value.partition("/")
+                if (num[1:] if num[:1] in "+-" else num).isdigit() and (den.isdigit() or not slash):
+                    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             # a literal Fraction accepts has at most one e, and int() reads its exponent
             _, e, exponent = value.replace("E", "e").partition("e")
             if e and abs(int(exponent)) > MAX_EXPONENT:
@@ -122,10 +129,6 @@ class EdgeVector:
         object.__setattr__(x, "n", n)
         object.__setattr__(x, "weights", weights)
         return x
-
-    @classmethod
-    def zero(cls, n: int) -> EdgeVector:
-        return cls(n, (Fraction(0),) * (n * (n - 1) // 2))
 
 
 def _scatter(values, index_map) -> tuple:

@@ -7,8 +7,10 @@ The exceptions are :func:`all_actions`, the package's induced actions listed
 by ``itertools.permutations``; :func:`frame_coset_check`, which states the
 frame's defining property in terms of the package's own canonizer and actions,
 :func:`generating_set_by_scan`, the definition of the greedy generating set
-on the package's vertex permutations, and :func:`parse_weighted_by_line`,
-the edge-list parser written line by line.
+on the package's vertex permutations, :func:`parse_weighted_by_line`, the
+edge-list parser written line by line, :func:`exact_by_fraction`, the rule
+for an exact literal with every string going through ``Fraction(str)``, and
+:func:`emit_weighted_by_pair`, the edge-list writer written pair by pair.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from paircanon.pairgroup import (
     act,
     induced_pair_action,
 )
+
+
+def zero_vector(n):
+    """The edge vector of the graph on n vertices with every weight 0."""
+    return EdgeVector(n, (Fraction(0),) * (n * (n - 1) // 2))
 
 
 def lex_pairs(n):
@@ -272,3 +279,36 @@ def parse_weighted_by_line(text: str) -> EdgeVector:
     if n is None:
         raise ParseError("empty input: missing `n <count>` header")
     return EdgeVector(n, tuple(weights))
+
+
+def exact_by_fraction(value) -> Fraction:
+    """The rule for an exact scalar as first written, every string through
+    ``Fraction(str)``: the reference for ``paircanon.pairgroup._exact``."""
+    if isinstance(value, float):
+        raise TypeError(
+            "float weights are not accepted; pass an int, a Fraction, or an "
+            "exact literal string such as '1/3' or '0.25'"
+        )
+    try:
+        if isinstance(value, str):
+            # a literal Fraction accepts has at most one e, and int() reads its exponent
+            _, e, exponent = value.replace("E", "e").partition("e")
+            if e and abs(int(exponent)) > 4300:
+                raise ValueError
+        w = value if isinstance(value, Fraction) else Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational literal: {value!r}") from exc
+    if abs(w.numerator) >= 10**4300 or w.denominator >= 10**4300:
+        shown = repr(value) if isinstance(value, str) else f"{type(value).__name__} value"
+        raise ValueError(f"not an exact rational literal: {shown} (more than 4300 digits)")
+    return w
+
+
+def emit_weighted_by_pair(x: EdgeVector) -> str:
+    """The edge-list writer pair by pair, each nonzero weight printed where it
+    stands: the reference for :func:`paircanon.emit_weighted`."""
+    lines = [f"n {x.n}"]
+    for (i, j), w in zip(lex_pairs(x.n), x.weights):
+        if w:
+            lines.append(f"{i} {j} {w}")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -316,6 +317,17 @@ def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, literal):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line 3: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_vertex_count_over_the_limit_exits_2_at_once(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n 100000\n1 2 1\n"))
+    start = time.perf_counter()
+    assert main(["canon", "-"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1: vertex count 100000 exceeds the limit")
     assert captured.err.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import networkx as nx
 import pytest
 
 from paircanon.graphio import (
+    MAX_VERTICES,
     ParseError,
     emit_graph6,
     emit_weighted,
@@ -15,7 +17,7 @@ from paircanon.graphio import (
 )
 from paircanon.pairgroup import EdgeVector
 
-from oracles import all_simple_vectors, random_rational_weights
+from oracles import all_simple_vectors, random_rational_weights, zero_vector
 
 
 # --------------------------------------------------------- weighted: parse
@@ -27,7 +29,7 @@ def test_parse_p4():
 
 
 def test_parse_header_only_is_zero_vector():
-    assert parse_weighted("n 4") == EdgeVector.zero(4)
+    assert parse_weighted("n 4") == zero_vector(4)
 
 
 def test_parse_exact_literals():
@@ -90,11 +92,34 @@ def test_parse_accepts_decimal_exponents_up_to_4300():
     assert parse_weighted(emit_weighted(x)) == x
 
 
+@pytest.mark.parametrize("count", [100000, 10**40])
+def test_parse_refuses_a_vertex_count_over_the_limit_before_allocating(count):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_weighted(f"n {count}\n1 2 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: vertex count {count} exceeds the limit of {MAX_VERTICES}"
+
+
+def test_parse_accepts_a_vertex_count_at_the_limit():
+    x = parse_weighted(f"n {MAX_VERTICES}\n1 {MAX_VERTICES} 1/2\n")
+    assert x.n == MAX_VERTICES
+    assert x.weights[MAX_VERTICES - 2] == Fraction(1, 2)
+    assert sum(1 for w in x.weights if w) == 1
+
+
 # ---------------------------------------------------------- weighted: emit
 
 
 def test_emit_zero_vector():
-    assert emit_weighted(EdgeVector.zero(4)) == "n 4\n"
+    assert emit_weighted(zero_vector(4)) == "n 4\n"
 
 
 def test_emit_p4_edge_order():
@@ -132,7 +157,7 @@ def nx_graph6(x: EdgeVector) -> str:
 def test_k4_and_empty_roundtrip():
     k4 = EdgeVector(4, (1,) * 6)
     assert parse_graph6(emit_graph6(k4)) == k4
-    empty = EdgeVector.zero(4)
+    empty = zero_vector(4)
     assert parse_graph6(emit_graph6(empty)) == empty
     assert emit_graph6(k4) == "C~"
     assert emit_graph6(empty) == "C?"
@@ -177,7 +202,7 @@ def test_header_strip():
 
 
 def test_large_n_size_field():
-    x = EdgeVector.zero(63)
+    x = zero_vector(63)
     encoded = emit_graph6(x)
     assert encoded.startswith(chr(126))
     assert parse_graph6(encoded) == x
@@ -204,12 +229,12 @@ def test_parse_graph6_malformed():
         parse_graph6("A?")  # n=2 rejected
     with pytest.raises(ParseError):
         parse_graph6("Cü")
-    assert parse_graph6("B?") == EdgeVector.zero(3)  # smallest accepted size
+    assert parse_graph6("B?") == zero_vector(3)  # smallest accepted size
 
 
 def test_parse_graph6_nonzero_padding():
     # n=4 has m=6 so there are no padding bits; n=5 has m=10, 2 padding bits
-    good = emit_graph6(EdgeVector.zero(5))
+    good = emit_graph6(zero_vector(5))
     corrupted = good[:-1] + chr(ord(good[-1]) + 1)  # flips the lowest padding bit
     with pytest.raises(ParseError):
         parse_graph6(corrupted)

@@ -1,16 +1,16 @@
 """Property tests of the text and graph6 codecs, generated by Hypothesis.
 
-The edge-list parser is compared with the line-by-line reference in
-``oracles.py`` on generated inputs, valid and invalid; both parsers must
-raise only ``ParseError`` on arbitrary text; and both formats must read back
-what they write.
+The edge-list parser, its literal rule and its writer are compared with the
+references in ``oracles.py`` on generated inputs, valid and invalid; both
+parsers must raise only ``ParseError`` on arbitrary text; and both formats
+must read back what they write.
 """
 
-import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from paircanon.graphio import (
@@ -20,9 +20,9 @@ from paircanon.graphio import (
     parse_graph6,
     parse_weighted,
 )
-from paircanon.pairgroup import EdgeVector
+from paircanon.pairgroup import EdgeVector, _exact
 
-from oracles import pair_count, parse_weighted_by_line
+from oracles import emit_weighted_by_pair, exact_by_fraction, pair_count, parse_weighted_by_line
 
 # no example database: the runs leave no files behind
 PROPERTY = settings(
@@ -116,15 +116,10 @@ def test_parse_errors_match_the_reference(text):
     assert _outcome(parse_weighted, text) == _outcome(parse_weighted_by_line, text)
 
 
-# A header count of 10**4 or more makes the parser allocate C(n,2) weights
-# before any size check (an open item), so arbitrary text keeps its digit
-# runs, underscores included, below four characters.
-_SHORT_NUMBERS = re.compile(r"[\d_]{4}")
-
 _ARBITRARY_TEXT = st.one_of(
     st.text(max_size=80),
     st.text(alphabet="n 0123456789#e/.-+_\n\t\r\x0bE", max_size=60),
-).filter(lambda text: not _SHORT_NUMBERS.search(text))
+)
 
 
 @settings(PROPERTY, max_examples=150)
@@ -190,3 +185,95 @@ def test_weighted_text_reads_back_what_it_writes(x):
 @given(simple_vectors())
 def test_graph6_reads_back_what_it_writes(x):
     assert parse_graph6(emit_graph6(x)) == x
+
+
+# digit runs: short ASCII ones, exactly MAX_EXPONENT and one more (also with
+# leading zeros, whose value is short), and digits int() reads or refuses
+_DIGITS = st.one_of(
+    st.text(alphabet="0123456789", max_size=6),
+    st.sampled_from(["9" * 4300, "1" * 4301, "0" * 4299 + "7", "0" * 4300 + "7"]),
+    st.text(alphabet="0123456789\u0660\u0663\u0669\u00b2\u00b3\u2075_", min_size=1, max_size=5),
+)
+
+
+@st.composite
+def literals(draw):
+    """Strings around the rule for an exact literal: ``[+-]digits[/digits]`` and
+    everything near it, decimals and exponents included."""
+    sign = draw(st.sampled_from(["", "", "+", "-", "--", "+-"]))
+    tail = draw(st.sampled_from(["", "", "/", "/", "//", "/-", "/+", ".", "e", "E-"]))
+    text = sign + draw(_DIGITS) + tail + (draw(_DIGITS) if tail else "")
+    text += draw(st.sampled_from(["", "", "", "e5", "E-3", "e4301", ".25", "/2"]))
+    pad = st.sampled_from(["", "", "", "", "", " ", "\t", "\u3000"])
+    return draw(pad) + text + draw(pad)
+
+
+class _Text(str):
+    """A ``str`` subclass whose ``partition`` misreads it: a subclass may
+    override any method, so the integer path leaves it to ``Fraction``."""
+
+    def partition(self, sep):
+        return "0", "", ""
+
+
+def _coerced(exact, text):
+    """(type, numerator, denominator) of a value, (type, message) of an error."""
+    try:
+        w = exact(text)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(w), w.numerator, w.denominator
+
+
+_LITERAL_TEXT = st.one_of(literals(), literals().map(_Text), st.text(max_size=12))
+
+# the edges of the integer path, tried on every run
+_LITERAL_EDGES = [
+    "1" * 4301, "-" + "9" * 4300, "1/" + "1" * 4301, "0" * 4300 + "7", "7/" + "0" * 4300 + "3",
+    "1/0", "-0/0", "1//2", "1/", "1/-2", "+5", "-0", "007/014", _Text("5"),
+]
+
+
+def _with_edges(test):
+    for text in _LITERAL_EDGES:
+        test = example(text)(test)
+    return test
+
+
+@settings(PROPERTY, max_examples=300)
+@_with_edges
+@given(_LITERAL_TEXT)
+def test_exact_matches_fraction_of_str(text):
+    assert _coerced(_exact, text) == _coerced(exact_by_fraction, text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit to lift"
+)
+@settings(PROPERTY, max_examples=150)
+@_with_edges
+@given(_LITERAL_TEXT)
+def test_exact_matches_fraction_of_str_without_a_digit_limit(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _coerced(_exact, text) == _coerced(exact_by_fraction, text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def mixed_vectors(draw):
+    """n = 3..70, weights drawn from a few values, 0 among them, with equal
+    values also held by distinct objects."""
+    n = draw(st.integers(3, 70))
+    pool = draw(st.lists(_WEIGHTS, min_size=1, max_size=5)) + [Fraction(0)]
+    rng = draw(st.randoms(use_true_random=False))
+    weights = (rng.choice(pool) for _ in range(n * (n - 1) // 2))
+    return EdgeVector(n, tuple(w if rng.random() < 0.8 else Fraction(w) for w in weights))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(mixed_vectors())
+def test_emit_weighted_matches_the_pair_by_pair_writer(x):
+    assert emit_weighted(x) == emit_weighted_by_pair(x)

@@ -30,6 +30,7 @@ from oracles import (
     random_permutation,
     random_rational_weights,
     twin_classes,
+    zero_vector,
 )
 
 
@@ -231,13 +232,13 @@ def test_enumerate_group_size_errors():
     with pytest.raises(GroupSizeError, match="n >= 3"):
         reynolds(Polynomial.monomial((1,)), 2)
     with pytest.raises(GroupSizeError):
-        canonical_form_bruteforce(EdgeVector.zero(9))
+        canonical_form_bruteforce(zero_vector(9))
     with pytest.raises(GroupSizeError):
-        canonical_form_bruteforce(EdgeVector.zero(5), max_n=4)
+        canonical_form_bruteforce(zero_vector(5), max_n=4)
     with pytest.raises(GroupSizeError, match="max_n"):
         # 1800! has more digits than int-to-str allows
         reynolds(Polynomial.zero(1800 * 1799 // 2), 1800)
-    assert canonical_form_bruteforce(EdgeVector.zero(5), max_n=5).aut_order == 120
+    assert canonical_form_bruteforce(zero_vector(5), max_n=5).aut_order == 120
 
 
 # ------------------------------------------------------------------- act
