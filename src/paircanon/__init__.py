@@ -10,11 +10,9 @@ from importlib import import_module
 
 from .frame import (
     CanonResult,
-    InvariantVector,
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
-    invariantize,
     is_isomorphic,
 )
 from .graphio import (
@@ -49,7 +47,6 @@ __all__ = [
     "DEFAULT_MAX_N",
     "EdgeVector",
     "GroupSizeError",
-    "InvariantVector",
     "PairAction",
     "ParseError",
     "VertexPermutation",
@@ -61,7 +58,6 @@ __all__ = [
     "emit_weighted",
     "generating_set",
     "induced_pair_action",
-    "invariantize",
     "is_isomorphic",
     "parse_graph6",
     "parse_weighted",

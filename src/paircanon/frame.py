@@ -17,8 +17,8 @@ The search records the automorphisms it meets and prunes with them, so it
 visits far fewer leaves than |Aut|; Aut is held as a Schreier-Sims chain and
 enumerated only on request, up to ``max_n``! elements.  Twins, vertices with
 equal weights to every other vertex, are found before the search branches:
-each class's symmetric group lies in Aut, so its transpositions prune from
-the first label on and the chain holds it without sifting.
+each class's symmetric group lies in Aut, so the search labels one member of
+a class and skips the rest, and the chain holds it without sifting.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .pairgroup import (
     _group_table,
     _orbit,
     _scatter,
-    _transposition,
 )
 
 
@@ -97,13 +96,6 @@ class CanonResult:
 
     def __hash__(self):
         return hash((self.canonical, self.frame))
-
-
-@dataclass(frozen=True)
-class InvariantVector:
-    """Coordinates of the canonical representative; separates isomorphism classes."""
-
-    values: tuple[Fraction, ...]
 
 
 def _result(
@@ -167,11 +159,13 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     g-image of one already searched.  Each depth keeps one record for the
     current parent: how many automorphisms it has examined, those among them
     that fix the labelled prefix, and the explored children closed under
-    those, which are skipped.  Before it pushes its children, the root finds
-    the twin classes from their rows and records the transpositions of
-    adjacent twins as automorphisms.  These and the automorphisms found
-    generate Aut, which is kept as a stabilizer chain.  The search runs on the
-    integer ranks of the weights, with an explicit stack.
+    those, which are skipped.  The root finds the twin classes from the rows
+    of its children.  Unlabelled twins share a cell and give equal rows, so
+    below the root a node builds one child per class, and an explored child
+    marks its class seen, closed under the fixing automorphisms, which map
+    classes onto classes.  The classes' symmetric groups and the automorphisms
+    found generate Aut, which is kept as a stabilizer chain.  The search runs
+    on the integer ranks of the weights, with an explicit stack.
     """
     n = x.n
     # Fraction hashing and comparison run in Python: key by (numerator,
@@ -192,8 +186,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     # rows of the incumbent, or of a prefix that beat it followed by top rows
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
-    twins: list[list[int]] = []  # classes of twins, found at the root
-    automorphisms: list[tuple[int, ...]] = []  # the twins' transpositions, then those found
+    twin_of = [[u] for u in range(n)]  # each vertex's class of twins, found at the root
+    automorphisms: list[tuple[int, ...]] = []  # those the search found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
     tried: list[tuple | None] = [None] * (n + 1)
@@ -209,10 +203,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                 tried[depth] = (len(automorphisms), fixing, seen)
             if v in seen:
                 continue
-            if fixing:
-                seen.update(_orbit([v], fixing))
-            else:
-                seen.add(v)
+            seen.update(_orbit(twin_of[v], fixing))
             order[depth - 1] = v
         if len(cells) == n - depth:
             # discrete: the rest of the relabeling, and so every row, is forced
@@ -233,8 +224,13 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     stack.pop()
             continue
         first, rest = cells[0], cells[1:]
+        # one child per twin class, for its largest member, which is popped
+        # first; at the root, before the classes are found, one per vertex
+        last = {twin_of[u][0]: u for u in first}
         children = []
         for u in first:
+            if last[twin_of[u][0]] != u:
+                continue
             Ru = R[u]
             split = [[w for w in first if w != u]] + rest if len(first) > 1 else rest
             child_row: list[int] = []
@@ -252,8 +248,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     child_cells.append(groups[r])
             children.append((tuple(child_row), u, child_cells))
         if not depth:
-            twins = _twin_classes(R, children)
-            automorphisms += (_transposition(n, a, b) for c in twins for a, b in zip(c, c[1:]))
+            twin_of = _twin_classes(R, children)
         least = min(child[0] for child in children)
         if least > best[depth]:
             continue
@@ -268,18 +263,18 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
-    seeded = sum(len(c) - 1 for c in twins)
-    return _result(x, canonical, frame, automorphisms[seeded:], max_n, twins)
+    twins = [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
+    return _result(x, canonical, frame, automorphisms, max_n, twins)
 
 
 def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
-    """The classes of two or more twins, vertices whose ranks to every other
-    vertex agree, each ascending.  Twins have equal sorted rows, the root's
-    child rows, so a vertex is compared only with the first member of each
-    class of its row: being twins is transitive.
+    """Each vertex's class of twins, vertices whose ranks to every other vertex
+    agree, ascending and shared by its members; [u] when u has no twin.  Twins
+    have equal sorted rows, the root's child rows, so a vertex is compared only
+    with the first member of each class of its row: being twins is transitive.
     """
     by_row: dict[tuple[int, ...], list[list[int]]] = {}
-    twins = []
+    twin_of: list[list[int]] = [[] for _ in R]
     for row, u, _ in children:
         classes = by_row.setdefault(row, [])
         Ru = R[u]
@@ -287,13 +282,13 @@ def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
             a = c[0]  # below u, as the root's children ascend
             Ra, lo, hi = R[a], a + 1, u + 1
             if Ra[:a] == Ru[:a] and Ra[lo:u] == Ru[lo:u] and Ra[hi:] == Ru[hi:]:
-                if len(c) == 1:
-                    twins.append(c)
-                c.append(u)
                 break
         else:
-            classes.append([u])
-    return twins
+            c = []
+            classes.append(c)
+        c.append(u)
+        twin_of[u] = c
+    return twin_of
 
 
 def canonical_form(
@@ -305,13 +300,6 @@ def canonical_form(
     if engine == "brute":
         return canonical_form_bruteforce(x, max_n=max_n)
     raise ValueError(f"unknown engine: {engine!r}")
-
-
-def invariantize(
-    x: EdgeVector, engine: str = "pruned", max_n: int = DEFAULT_MAX_N
-) -> InvariantVector:
-    """The invariant coordinates of x: the entries of its canonical vector."""
-    return InvariantVector(canonical_form(x, engine=engine, max_n=max_n).canonical.weights)
 
 
 def is_isomorphic(

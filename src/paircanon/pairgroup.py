@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
+from operator import index
 from typing import Collection, Iterable
 
 #: Default bound on n for operations that enumerate all n! group elements.
@@ -71,12 +72,13 @@ def _exact(value) -> Fraction:
 
 @dataclass(frozen=True, order=True)
 class VertexPermutation:
-    """A bijection of {1..n} in one-line notation: images[i-1] is the image of i."""
+    """A bijection of {1..n} in one-line notation: images[i-1] is the image of i.
+    Images are read by ``operator.index``: a float or a string raises TypeError."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(int(v) for v in self.images)
+        images = tuple(map(index, self.images))
         object.__setattr__(self, "images", images)
         n = len(images)
         if n < 1 or sorted(images) != list(range(1, n + 1)):
@@ -258,7 +260,8 @@ class _Chain:
     Algorithms*, 2003, ch. 4).  Permutations are 0-based image tuples.
 
     The group is generated by ``gens`` and the symmetric groups of the
-    ``twins``, disjoint ascending lists of points.  Their product is built
+    ``twins``, disjoint ascending lists of points; the search prunes twins as
+    classes, and their transpositions exist only here.  Their product is built
     without sifting: the orbit of a class member k is the rest of its class
     from k on, each point b reached by the transposition (k b), its own
     inverse, and gens[k] holds the transpositions of adjacent class members

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import index
 from typing import Mapping
 
 from .pairgroup import (
@@ -26,49 +26,30 @@ from .pairgroup import (
 )
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of a power product x1^e1 ... xm^em."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        exponents = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exponents):
-            raise ValueError(f"negative exponent in {exponents}")
-        object.__setattr__(self, "exponents", exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def sort_key(self) -> tuple:
-        # graded lex with x1 > x2 > ...: degree first, then the exponent tuple
-        return (self.degree, self.exponents)
-
-
 class Polynomial:
     """Sparse polynomial over exact rationals in variables x1..x{nvars}.
 
-    Terms map monomials to nonzero coefficients; equality is term-map
-    equality and printing uses descending graded-lex order, so outputs are
-    byte-stable.
+    Terms map exponent tuples, read by ``operator.index``, to nonzero
+    coefficients; equality is term-map equality and printing uses descending
+    graded-lex order, so outputs are byte-stable.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.nvars = int(nvars)
         if self.nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                if len(mono.exponents) != self.nvars:
+                mono = tuple(map(index, mono))
+                if len(mono) != self.nvars:
                     raise ValueError(
-                        f"monomial has {len(mono.exponents)} exponents, "
-                        f"expected {self.nvars}"
+                        f"monomial has {len(mono)} exponents, expected {self.nvars}"
                     )
+                if any(e < 0 for e in mono):
+                    raise ValueError(f"negative exponent in {mono}")
                 c = _exact(coeff)
                 if c:
                     clean[mono] = c
@@ -81,11 +62,11 @@ class Polynomial:
     @classmethod
     def monomial(cls, exponents, coeff=1) -> Polynomial:
         exponents = tuple(exponents)
-        return cls(len(exponents), {Monomial(exponents): _exact(coeff)})
+        return cls(len(exponents), {exponents: coeff})
 
     @property
     def degree(self) -> int:
-        return max((mono.degree for mono in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -114,12 +95,10 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.nvars != other.nvars:
                 raise ValueError("variable count mismatch")
-            terms: dict[Monomial, Fraction] = {}
+            terms: dict[tuple[int, ...], Fraction] = {}
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
-                    mono = Monomial(
-                        tuple(a + b for a, b in zip(ma.exponents, mb.exponents))
-                    )
+                    mono = tuple(a + b for a, b in zip(ma, mb))
                     terms[mono] = terms.get(mono, Fraction(0)) + ca * cb
             return Polynomial(self.nvars, terms)
         scalar = _exact(other)
@@ -140,10 +119,7 @@ class Polynomial:
                 f"variable count mismatch: polynomial has {self.nvars}, "
                 f"action has {len(imap)}"
             )
-        moved = {
-            Monomial(_scatter(mono.exponents, imap)): coeff
-            for mono, coeff in self.terms.items()
-        }
+        moved = {_scatter(mono, imap): coeff for mono, coeff in self.terms.items()}
         return Polynomial(self.nvars, moved)
 
     def evaluate(self, x) -> Fraction:
@@ -156,7 +132,7 @@ class Polynomial:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = coeff
-            for w, e in zip(weights, mono.exponents):
+            for w, e in zip(weights, mono):
                 if e:
                     term *= w**e
             total += term
@@ -167,10 +143,9 @@ class Polynomial:
         if not self.terms:
             return "0"
         lines = []
-        for mono in sorted(self.terms, key=Monomial.sort_key, reverse=True):
-            factors = " ".join(
-                f"x{i}^{e}" for i, e in enumerate(mono.exponents, start=1) if e
-            )
+        # graded lex with x1 > x2 > ...: degree first, then the exponent tuple
+        for mono in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            factors = " ".join(f"x{i}^{e}" for i, e in enumerate(mono, start=1) if e)
             lines.append(f"{self.terms[mono]} * {factors or '1'}")
         return "\n".join(lines)
 
@@ -188,10 +163,10 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
     if f.nvars != m:
         raise ValueError(f"f has {f.nvars} variables but n={n} needs {m}")
     _check_enumerable(n, max_n)
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[tuple[int, ...], Fraction] = {}
     for _, imap in _group_table(n):
         for mono, coeff in f.terms.items():
-            key = Monomial(_scatter(mono.exponents, imap))
+            key = _scatter(mono, imap)
             acc[key] = acc.get(key, Fraction(0)) + coeff
     scale = Fraction(1, math.factorial(n))
     return Polynomial(m, {mono: coeff * scale for mono, coeff in acc.items()})

@@ -9,7 +9,6 @@ from paircanon.frame import (
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
-    invariantize,
     is_isomorphic,
 )
 from paircanon.pairgroup import (
@@ -167,13 +166,23 @@ def test_pruned_handles_repeated_weights():
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
 
 
+# the 5-cycle 1-2-3-4-5 with vertex 1 doubled by its twin 6, joined to 2 and
+# 5: Aut, of order 4, is the twin swap times a reflection the search must find
+DOUBLED_C5 = EdgeVector(6, (1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1))
+
+
 @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
 def test_pruned_agrees_with_bruteforce_on_weighted_twins(n):
     # fewer groups than vertices, so some have twins; internal weights other
     # than 0 and 1, one per group
     rng = random.Random(47 + n)
-    for _ in range(12):
-        x = EdgeVector(n, twin_graph_weights(rng, n, rng.randrange(1, min(n - 1, 4) + 1)))
+    inputs = [
+        EdgeVector(n, twin_graph_weights(rng, n, rng.randrange(1, min(n - 1, 4) + 1)))
+        for _ in range(12)
+    ]
+    if n == 6:
+        inputs.append(DOUBLED_C5)
+    for x in inputs:
         assert twin_classes(n, x.weights)
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
 
@@ -246,13 +255,13 @@ def test_orbit_constancy_exhaustive_group_n5():
             assert canonical_form_pruned(act(tau, x)).canonical == can
 
 
-# ------------------------------------------------------------ invariantize
+# ------------------------------------------------- invariant coordinates
 
 
 def test_invariantize_equals_canonical_weights():
-    iv = invariantize(P4)
-    assert iv.values == as_fracs((0, 0, 1, 1, 0, 1))
-    assert iv.values == canonical_form_pruned(P4).canonical.weights
+    iv = canonical_form(P4).canonical.weights
+    assert iv == as_fracs((0, 0, 1, 1, 0, 1))
+    assert iv == canonical_form_pruned(P4).canonical.weights
 
 
 def test_invariantize_orbit_constant_exhaustive_n4():
@@ -260,9 +269,9 @@ def test_invariantize_orbit_constant_exhaustive_n4():
     group = all_actions(4)
     for _ in range(20):
         x = EdgeVector(4, random_rational_weights(rng, 6))
-        iv = invariantize(x)
+        iv = canonical_form(x).canonical.weights
         for tau in group:
-            assert invariantize(act(tau, x)) == iv
+            assert canonical_form(act(tau, x)).canonical.weights == iv
 
 
 def test_invariantize_preserves_multiset():
@@ -271,7 +280,7 @@ def test_invariantize_preserves_multiset():
         m = n * (n - 1) // 2
         for _ in range(20):
             x = EdgeVector(n, random_rational_weights(rng, m))
-            assert sorted(invariantize(x).values) == sorted(x.weights)
+            assert sorted(canonical_form(x).canonical.weights) == sorted(x.weights)
 
 
 # ---------------------------------------------------------- completeness
@@ -288,7 +297,9 @@ def test_completeness_random_pairs(n):
             y = act(tau, x)
         else:
             y = EdgeVector(n, random_rational_weights(rng, m))
-        same_invariants = invariantize(x) == invariantize(y)
+        same_invariants = (
+            canonical_form(x).canonical.weights == canonical_form(y).canonical.weights
+        )
         same_orbit = y.weights in orbit_of(n, x.weights)
         assert same_invariants == same_orbit
 

@@ -64,6 +64,13 @@ def test_vertex_permutation_validation():
         VertexPermutation(())
 
 
+@pytest.mark.parametrize("images", [(1.9, 2.2, 3), ("1", "2", "3")], ids=["float", "str"])
+def test_vertex_permutation_refuses_non_integer_images(images):
+    # int() would truncate (1.9, 2.2, 3) to the identity
+    with pytest.raises(TypeError):
+        VertexPermutation(images)
+
+
 def test_compose_inverse_identity():
     rng = random.Random(7)
     for n in (3, 4, 5, 8):

@@ -12,7 +12,6 @@ from paircanon.pairgroup import (
     induced_pair_action,
 )
 from paircanon.polyinv import (
-    Monomial,
     Polynomial,
     classify_simple_graphs_n4,
     n4_generating_set,
@@ -25,7 +24,7 @@ from oracles import all_actions, random_permutation, random_rational_weights, ze
 
 
 def mono(*exponents):
-    return Monomial(tuple(exponents))
+    return exponents
 
 
 X1 = Polynomial.monomial((1, 0, 0, 0, 0, 0))
@@ -269,6 +268,13 @@ def test_polynomial_arithmetic_and_validation():
     with pytest.raises(ValueError):
         f + X1
     with pytest.raises(ValueError):
-        Monomial((1, -1))
+        Polynomial(2, {(1, -1): 1})
     with pytest.raises(TypeError):
         Polynomial.monomial((1, 0), coeff=0.5)
+
+
+@pytest.mark.parametrize("exponents", [(1.5, 0), ("1", 0)], ids=["float", "str"])
+def test_polynomial_refuses_non_integer_exponents(exponents):
+    # int() would truncate (1.5, 0) to x1
+    with pytest.raises(TypeError):
+        Polynomial.monomial(exponents)

@@ -40,6 +40,14 @@ def cycle(n):
     return graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
+def twin_cycle(c, k):
+    """The c-cycle with each vertex replaced by k non-adjacent twins: vertex v
+    lies over cycle vertex (v - 1) % c, so no class has consecutive labels."""
+    n = c * k
+    edges = [(v, w) for v, w in combinations(range(1, n + 1), 2) if (w - v) % c in (1, c - 1)]
+    return graph(n, edges)
+
+
 def complete_bipartite(a, b):
     return graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
 
@@ -106,6 +114,10 @@ def test_known_automorphism_group_orders(x, order):
         (complete_bipartite(1, 29), math.factorial(29)),
         (complete_bipartite(15, 15), 2 * math.factorial(15) ** 2),
         (cycle(30), 2 * 30),
+        # twin classes closed under the rotations and reflections the search
+        # finds; too large for test_known_automorphism_group_orders to enumerate
+        (twin_cycle(5, 3), math.factorial(3) ** 5 * 10),
+        (twin_cycle(7, 3), math.factorial(3) ** 7 * 14),
         # twin classes give these groups without search: each canonizes in
         # under a second, where searching for S_150 took about 30 s
         (zero_vector(150), math.factorial(150)),
@@ -113,7 +125,7 @@ def test_known_automorphism_group_orders(x, order):
         (complete_bipartite(1, 149), math.factorial(149)),
         (complete_bipartite(75, 75), 2 * math.factorial(75) ** 2),
     ],
-    ids=["empty30", "complete30", "K1,29", "K15,15", "C30"]
+    ids=["empty30", "complete30", "K1,29", "K15,15", "C30", "C5[3]", "C7[3]"]
     + ["empty150", "complete150", "K1,149", "K75,75"],
 )
 def test_large_symmetric_groups(x, order, tmp_path, capsys):
