@@ -120,23 +120,36 @@ def _result(
     )
 
 
+def _ranks(x: EdgeVector) -> tuple[tuple[int, ...], list[Fraction]]:
+    """Each weight's integer rank, ordered as the weights are, and the distinct weights."""
+    # Fraction hashing and comparison run in Python: key by (numerator,
+    # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
+    keys = [w.as_integer_ratio() for w in x.weights]
+    levels = sorted(
+        dict(zip(keys, x.weights)).values(),
+        key=lambda w: ((w.numerator << 64) // w.denominator, w),
+    )
+    rank_of = {w.as_integer_ratio(): r for r, w in enumerate(levels)}
+    return tuple(map(rank_of.__getitem__, keys)), levels
+
+
 def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
     """Minimize over all n! relabelings; only viable within the enumeration limit."""
     _check_enumerable(x.n, max_n)
-    w = x.weights
-    best: tuple[Fraction, ...] | None = None
-    best_images: tuple[int, ...] | None = None
+    ranks, levels = _ranks(x)
+    # the identity starts the minimum; first in the table, it heads the stabilizer
+    best, best_images = ranks, tuple(range(1, x.n + 1))
     stabilizer = []
-    for images, imap in _group_table(x.n):
-        y = _scatter(w, imap)
+    for images, take in _group_table(x.n):
+        y = take(ranks)
         # strict improvement only: the first minimizer seen is the one-line
         # lex-smallest because the table is in ascending one-line order
-        if best is None or y < best:
+        if y < best:
             best, best_images = y, images
-        if y == w:
+        if y == ranks:
             stabilizer.append(tuple(v - 1 for v in images))
-    # the identity comes first in the table
-    return _result(x, best, tuple(v - 1 for v in best_images), stabilizer[1:], max_n)
+    canonical = tuple(map(levels.__getitem__, best))
+    return _result(x, canonical, tuple(v - 1 for v in best_images), stabilizer[1:], max_n)
 
 
 def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
@@ -168,17 +181,10 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     on the integer ranks of the weights, with an explicit stack.
     """
     n = x.n
-    # Fraction hashing and comparison run in Python: key by (numerator,
-    # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
-    keys = [w.as_integer_ratio() for w in x.weights]
-    levels = sorted(
-        dict(zip(keys, x.weights)).values(),
-        key=lambda w: ((w.numerator << 64) // w.denominator, w),
-    )
-    rank_of = {w.as_integer_ratio(): r for r, w in enumerate(levels)}
+    ranks, levels = _ranks(x)
     R = [[0] * n for _ in range(n)]
-    for (i, j), key in zip(combinations(range(n), 2), keys):
-        R[i][j] = R[j][i] = rank_of[key]
+    for (i, j), r in zip(combinations(range(n), 2), ranks):
+        R[i][j] = R[j][i] = r
 
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
     top = (len(levels),)  # above every row, since every rank is below len(levels)

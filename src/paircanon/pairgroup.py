@@ -10,8 +10,9 @@ held as Schreier-Sims stabilizer chains, whose levels for the symmetric
 groups of disjoint classes of points are built without sifting, and a
 group's greedy generating set is read level by level from its one chain.
 The pair order, the application of a permutation, the group operations, the
-list of all n! relabelings and the rule for an exact literal each have one
-definition in this module.
+list of all n! relabelings, which holds each induced action as a getter that
+gathers in C what that application scatters, and the rule for an exact
+literal each have one definition in this module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import prod
-from operator import index
+from operator import index, itemgetter
 from typing import Collection, Iterable
 
 #: Default bound on n for operations that enumerate all n! group elements.
@@ -137,7 +138,7 @@ def _scatter(values, index_map) -> tuple:
     """``values`` rearranged: ``values[s]`` moves to 1-based position ``index_map[s]``.
 
     The one way a permutation is applied in this package: to weight vectors,
-    exponent vectors, point vectors, and to 1..n to invert a permutation.
+    exponent vectors, point vectors, and to a range to invert a permutation.
     """
     out = [None] * len(index_map)
     for value, t in zip(values, index_map):
@@ -200,14 +201,16 @@ def _check_enumerable(n: int, max_n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _group_table(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All n! (vertex images, induced index_map) pairs, ascending by one-line order.
+def _group_table(n: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    """All n! (vertex images, take) pairs, ascending by one-line order; the getter
+    ``take(v) == _scatter(v, index_map)`` gathers from the inverse of index_map.
 
     The one enumeration of the group, shared by the enumerating canonizer and
     the averaging operator; cached because the table depends only on n.
     """
+    positions = range(n * (n - 1) // 2)
     return tuple(
-        (images, _induced_index_map(images, n))
+        (images, itemgetter(*_scatter(positions, _induced_index_map(images, n))))
         for images in permutations(range(1, n + 1))
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import index
@@ -56,6 +57,13 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _from_exact(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
+        """Checked exponent tuples and Fractions: drops zeros, checks only the digit limit."""
+        f = object.__new__(cls)
+        f.nvars, f.terms = nvars, {mono: _exact(c) for mono, c in terms.items() if c}
+        return f
+
+    @classmethod
     def zero(cls, nvars: int) -> Polynomial:
         return cls(nvars)
 
@@ -81,10 +89,10 @@ class Polynomial:
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Polynomial(self.nvars, terms)
+        return Polynomial._from_exact(self.nvars, terms)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._from_exact(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -100,9 +108,9 @@ class Polynomial:
                 for mb, cb in other.terms.items():
                     mono = tuple(a + b for a, b in zip(ma, mb))
                     terms[mono] = terms.get(mono, Fraction(0)) + ca * cb
-            return Polynomial(self.nvars, terms)
+            return Polynomial._from_exact(self.nvars, terms)
         scalar = _exact(other)
-        return Polynomial(self.nvars, {m: c * scalar for m, c in self.terms.items()})
+        return Polynomial._from_exact(self.nvars, {m: c * scalar for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -120,7 +128,7 @@ class Polynomial:
                 f"action has {len(imap)}"
             )
         moved = {_scatter(mono, imap): coeff for mono, coeff in self.terms.items()}
-        return Polynomial(self.nvars, moved)
+        return Polynomial._from_exact(self.nvars, moved)
 
     def evaluate(self, x) -> Fraction:
         """Value at an EdgeVector or any sequence of exact scalars."""
@@ -129,13 +137,12 @@ class Polynomial:
             raise ValueError(
                 f"dimension mismatch: {len(weights)} values for {self.nvars} variables"
             )
+        nums, dens = zip(*(w.as_integer_ratio() for w in weights))
         total = Fraction(0)
         for mono, coeff in self.terms.items():
-            term = coeff
-            for w, e in zip(weights, mono):
-                if e:
-                    term *= w**e
-            total += term
+            num = math.prod(map(pow, nums, mono))
+            if num:
+                total += Fraction(num, math.prod(map(pow, dens, mono))) * coeff
         return total
 
     def to_text(self) -> str:
@@ -164,12 +171,11 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
         raise ValueError(f"f has {f.nvars} variables but n={n} needs {m}")
     _check_enumerable(n, max_n)
     acc: dict[tuple[int, ...], Fraction] = {}
-    for _, imap in _group_table(n):
-        for mono, coeff in f.terms.items():
-            key = _scatter(mono, imap)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
+    for mono, coeff in f.terms.items():
+        for image, count in Counter(take(mono) for _, take in _group_table(n)).items():
+            acc[image] = acc.get(image, Fraction(0)) + coeff * count
     scale = Fraction(1, math.factorial(n))
-    return Polynomial(m, {mono: coeff * scale for mono, coeff in acc.items()})
+    return Polynomial._from_exact(m, {mono: coeff * scale for mono, coeff in acc.items()})
 
 
 def n4_generating_set() -> list[Polynomial]:

@@ -9,8 +9,10 @@ frame's defining property in terms of the package's own canonizer and actions,
 :func:`generating_set_by_scan`, the definition of the greedy generating set
 on the package's vertex permutations, :func:`parse_weighted_by_line`, the
 edge-list parser written line by line, :func:`exact_by_fraction`, the rule
-for an exact literal with every string going through ``Fraction(str)``, and
-:func:`emit_weighted_by_pair`, the edge-list writer written pair by pair.
+for an exact literal with every string going through ``Fraction(str)``,
+:func:`emit_weighted_by_pair`, the edge-list writer written pair by pair, and
+:func:`evaluate_by_term`, a polynomial's value from its terms in ``Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
@@ -312,3 +314,14 @@ def emit_weighted_by_pair(x: EdgeVector) -> str:
         if w:
             lines.append(f"{i} {j} {w}")
     return "\n".join(lines) + "\n"
+
+
+def evaluate_by_term(f, values):
+    """The value of a polynomial at a point, every power and product a ``Fraction``."""
+    total = Fraction(0)
+    for mono, coeff in f.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(values, mono):
+            term *= Fraction(v) ** e
+        total += term
+    return total

@@ -98,6 +98,25 @@ def test_bruteforce_matches_matrix_oracle_random_n5():
         assert sorted(a.images for a in result.automorphisms) == auts
 
 
+def test_bruteforce_matches_matrix_oracle_on_close_weights_n6():
+    # 1/3 and 1/3 + 2^-70 agree on floor(w * 2^64), the first key of the rank
+    # step both engines share, and so do -1/3 and -1/3 + 2^-70: the Fraction
+    # order alone tells them apart; repeats and negatives mixed in
+    third, tiny = Fraction(1, 3), Fraction(1, 2**70)
+    pool = [third, third + tiny, -third, -third + tiny, Fraction(-2), Fraction(0)]
+    for a, b in ((pool[0], pool[1]), (pool[2], pool[3])):
+        assert (a.numerator << 64) // a.denominator == (b.numerator << 64) // b.denominator
+    rng = random.Random(59)
+    for _ in range(12):
+        values = pool[: rng.randrange(2, 7)]
+        w = tuple(rng.choice(values) for _ in range(15))
+        result = canonical_form_bruteforce(EdgeVector(6, w))
+        best, sigma, auts = naive_canonical(6, w)
+        assert result.canonical.weights == best
+        assert result.frame.images == sigma
+        assert sorted(a.images for a in result.automorphisms) == auts
+
+
 def test_bruteforce_respects_max_n():
     x = EdgeVector(5, (0,) * 10)
     with pytest.raises(GroupSizeError):
@@ -148,7 +167,7 @@ def test_pruned_agrees_with_bruteforce_exhaustive_simple(n):
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
 
 
-@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize("n", (5, 6, 7, 8))
 def test_pruned_agrees_with_bruteforce_random(n):
     rng = random.Random(37 + n)
     m = n * (n - 1) // 2
@@ -166,12 +185,21 @@ def test_pruned_handles_repeated_weights():
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
 
 
+def test_pruned_agrees_with_bruteforce_three_value_pool_n8():
+    rng = random.Random(53)
+    values = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
+    for _ in range(20):
+        pool = rng.sample(values, 3)
+        x = EdgeVector(8, tuple(rng.choice(pool) for _ in range(28)))
+        assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
+
+
 # the 5-cycle 1-2-3-4-5 with vertex 1 doubled by its twin 6, joined to 2 and
 # 5: Aut, of order 4, is the twin swap times a reflection the search must find
 DOUBLED_C5 = EdgeVector(6, (1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1))
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
 def test_pruned_agrees_with_bruteforce_on_weighted_twins(n):
     # fewer groups than vertices, so some have twins; internal weights other
     # than 0 and 1, one per group

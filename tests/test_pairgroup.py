@@ -215,20 +215,38 @@ def test_injectivity_exhaustive(n):
 def test_enumerate_group_sizes():
     assert len(pairgroup._group_table(3)) == 6
     g4 = pairgroup._group_table(4)
-    assert g4 == tuple((a.source.images, a.index_map) for a in all_actions(4))
-    assert len({imap for _, imap in g4}) == 24
-    assert g4[0] == ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6))
+    actions = all_actions(4)
+    assert len(g4) == len(actions) == 24
+    # a vector of distinct entries: its image determines the position map
+    v = tuple(range(10, 16))
+    for (images, take), a in zip(g4, actions):
+        assert images == a.source.images
+        assert take(v) == pairgroup._scatter(v, a.index_map)
+    assert len({take(v) for _, take in g4}) == 24
+    assert g4[0][0] == (1, 2, 3, 4) and g4[0][1](v) == v
 
 
 def test_enumerate_group_closure_n5():
-    group = [imap for _, imap in pairgroup._group_table(5)]
+    v = tuple(range(10, 20))
+    group = [take for _, take in pairgroup._group_table(5)]
     assert len(group) == 120
-    table = set(group)
+    table = {take(v) for take in group}
+    assert len(table) == 120
     rng = random.Random(11)
     for _ in range(100):
         a = group[rng.randrange(120)]
         b = group[rng.randrange(120)]
-        assert tuple(a[t - 1] for t in b) in table
+        # the composite gather a after b, as one table element would apply it
+        assert a(b(v)) in table
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_group_table_gathers_equal_scatters(n):
+    # every element's getter applies its induced action the one way, _scatter
+    v = tuple(Fraction(k, 3) for k in range(n * (n - 1) // 2))
+    for images, take in pairgroup._group_table(n):
+        index_map = induced_pair_action(VertexPermutation(images)).index_map
+        assert take(v) == pairgroup._scatter(v, index_map)
 
 
 def test_enumerate_group_size_errors():

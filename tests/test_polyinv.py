@@ -20,11 +20,30 @@ from paircanon.polyinv import (
     simple_graph_invariants,
 )
 
-from oracles import all_actions, random_permutation, random_rational_weights, zero_vector
+from oracles import (
+    all_actions,
+    evaluate_by_term,
+    random_permutation,
+    random_rational_weights,
+    zero_vector,
+)
 
 
 def mono(*exponents):
     return exponents
+
+
+def random_polynomial(rng, nvars, terms=4, degree=3):
+    """Up to ``terms`` monomials of degree at most ``degree``, with nonzero
+    Fraction coefficients; a constant term may occur."""
+    coeffs = {}
+    for _ in range(terms):
+        exponents = [0] * nvars
+        for _ in range(rng.randrange(degree + 1)):
+            exponents[rng.randrange(nvars)] += 1
+        numerator = rng.choice((-1, 1)) * rng.randrange(1, 10)
+        coeffs[tuple(exponents)] = Fraction(numerator, rng.randrange(1, 8))
+    return Polynomial(nvars, coeffs)
 
 
 X1 = Polynomial.monomial((1, 0, 0, 0, 0, 0))
@@ -118,6 +137,24 @@ def test_linearity():
         assert reynolds(a * f + b * g, 4) == a * reynolds(f, 4) + b * reynolds(g, 4)
 
 
+@pytest.mark.parametrize("n", (4, 5))
+def test_reynolds_equals_average_of_applied_actions(n):
+    # the average through each action's index_map, not through the group table
+    rng = random.Random(101 + n)
+    m = n * (n - 1) // 2
+    group = all_actions(n)
+    # x1 - x2 averages to zero: x1 and x2 lie in one orbit
+    cancelling = Polynomial(m, {(1, 0) + (0,) * (m - 2): 1, (0, 1) + (0,) * (m - 2): -1})
+    for f in [cancelling] + [random_polynomial(rng, m) for _ in range(4)]:
+        total = {}
+        for tau in group:
+            for key, c in f.apply(tau).terms.items():
+                total[key] = total.get(key, 0) + c
+        expected = {key: c / len(group) for key, c in total.items() if c}
+        assert reynolds(f, n).terms == expected
+    assert reynolds(cancelling, n).terms == {}
+
+
 def test_apply_matches_action_on_evaluations():
     # (tau.f)(x) == f(tau^-1 . x), checked numerically
     rng = random.Random(97)
@@ -182,6 +219,26 @@ def test_evaluate_invariance():
         x = EdgeVector(4, random_rational_weights(rng, 6))
         tau = induced_pair_action(VertexPermutation(random_permutation(rng, 4)))
         assert rf.evaluate(act(tau, x)) == rf.evaluate(x)
+
+
+def test_evaluate_matches_term_by_term_reference():
+    rng = random.Random(103)
+    for nvars in (1, 3, 6, 10):
+        for k in range(25):
+            f = random_polynomial(rng, nvars, terms=rng.randrange(1, 6), degree=4)
+            if k == 0:
+                point = [0] * nvars
+            else:
+                point = [
+                    rng.choice((0, Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))))
+                    for _ in range(nvars)
+                ]
+            value = f.evaluate(point)
+            assert type(value) is Fraction and value == evaluate_by_term(f, point)
+    for n in (4, 5):
+        x = EdgeVector(n, random_rational_weights(rng, n * (n - 1) // 2))
+        f = random_polynomial(rng, len(x.weights), terms=6, degree=5)
+        assert f.evaluate(x) == evaluate_by_term(f, x.weights)
 
 
 def test_evaluate_dimension_mismatch():
@@ -271,6 +328,57 @@ def test_polynomial_arithmetic_and_validation():
         Polynomial(2, {(1, -1): 1})
     with pytest.raises(TypeError):
         Polynomial.monomial((1, 0), coeff=0.5)
+
+
+def test_arithmetic_results_equal_their_checked_construction():
+    # results skip the public constructor's checks: each must equal the checked
+    # construction of the same terms, summed by hand, zero coefficients included
+    rng = random.Random(107)
+    tau = induced_pair_action(VertexPermutation((2, 4, 1, 3)))
+    for _ in range(10):
+        f, g = random_polynomial(rng, 6), random_polynomial(rng, 6)
+        total = dict(f.terms)
+        for key, c in g.terms.items():
+            total[key] = total.get(key, 0) + c
+        product_terms = {}
+        for ka, ca in f.terms.items():
+            for kb, cb in g.terms.items():
+                key = tuple(a + b for a, b in zip(ka, kb))
+                product_terms[key] = product_terms.get(key, 0) + ca * cb
+        moved = {}
+        for key, c in f.terms.items():
+            image = [0] * 6
+            for s, e in enumerate(key):
+                image[tau.index_map[s] - 1] = e
+            moved[tuple(image)] = c
+        cases = [
+            (f + g, total),
+            (-f, {key: -c for key, c in f.terms.items()}),
+            (f - f, {key: 0 for key in f.terms}),
+            (f * g, product_terms),
+            (f * Fraction(-2, 3), {key: c * Fraction(-2, 3) for key, c in f.terms.items()}),
+            (0 * f, {key: 0 for key in f.terms}),
+            (f.apply(tau), moved),
+            (reynolds(f, 4), reynolds(f, 4).terms),
+        ]
+        for result, terms in cases:
+            checked = Polynomial(6, terms)
+            assert result == checked and result.nvars == 6
+            assert all(type(c) is Fraction and c for c in result.terms.values())
+            assert all(type(key) is tuple and len(key) == 6 for key in result.terms)
+
+
+def test_arithmetic_refuses_a_coefficient_past_the_digit_limit():
+    # each factor prints, but the product of two 2200-digit numbers does not
+    big = Polynomial.monomial((1, 0), coeff=10**2200)
+    small = Polynomial.monomial((0, 1), coeff=Fraction(1, 10**2200 + 1))
+    for make in (
+        lambda: big * big,
+        lambda: big * 10**2200,
+        lambda: small + Polynomial.monomial((0, 1), coeff=Fraction(1, 10**2200 + 3)),
+    ):
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            make()
 
 
 @pytest.mark.parametrize("exponents", [(1.5, 0), ("1", 0)], ids=["float", "str"])
