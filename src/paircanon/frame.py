@@ -147,9 +147,27 @@ def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> Cano
         if y < best:
             best, best_images = y, images
         if y == ranks:
-            stabilizer.append(tuple(v - 1 for v in images))
+            stabilizer.append(images)
     canonical = tuple(map(levels.__getitem__, best))
-    return _result(x, canonical, tuple(v - 1 for v in best_images), stabilizer[1:], max_n)
+    frame = tuple(v - 1 for v in best_images)
+    return _result(x, canonical, frame, _coset_leaders(stabilizer), max_n)
+
+
+def _coset_leaders(group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The first member of each coset of G_(k+1) in G_k but G_(k+1), as 0-based
+    tuples, for a group listed ascending in one-line order (1-based): at most
+    C(n,2) transversal elements, which generate it.  G_k, the members fixing
+    1..k, is a prefix: G_(k+1), then its other cosets, |G_(k+1)| members each."""
+    identity = group[0]
+    leaders = []
+    size = 1  # |G_(k+1)|, from the trivial G_(n-1) on
+    for k in reversed(range(len(identity) - 1)):
+        i = size
+        while i < len(group) and group[i][:k] == identity[:k]:
+            leaders.append(tuple(v - 1 for v in group[i]))
+            i += size
+        size = i
+    return leaders
 
 
 def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:

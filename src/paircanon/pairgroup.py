@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations, starmap
 from math import prod
 from operator import index, itemgetter
 from typing import Collection, Iterable
@@ -206,13 +206,24 @@ def _group_table(n: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
     ``take(v) == _scatter(v, index_map)`` gathers from the inverse of index_map.
 
     The one enumeration of the group, shared by the enumerating canonizer and
-    the averaging operator; cached because the table depends only on n.
+    the averaging operator; cached because the table depends only on n.  It is
+    built down the stabilizer chain of S_n on 0..n-1: S_k, which fixes 0..k-1,
+    is the union of the cosets c_j.S_(k+1), j = k..n-1, where c_j sends k to j
+    and k+1..n-1 ascending onto the rest of k..n-1.  So c_j.h ascends as (j, h)
+    does, and its gather is take_cj applied to h's: only the C(n,2) coset
+    representatives other than the identity are scattered.
     """
-    positions = range(n * (n - 1) // 2)
-    return tuple(
-        (images, itemgetter(*_scatter(positions, _induced_index_map(images, n))))
-        for images in permutations(range(1, n + 1))
-    )
+    m = n * (n - 1) // 2
+    level = [tuple(range(m))]  # the gathers of S_(n-1), the identity alone
+    for k in reversed(range(n - 1)):
+        takes = []
+        for j in range(k + 1, n):
+            images = (*range(1, k + 1), j + 1, *range(k + 1, j + 1), *range(j + 2, n + 1))
+            takes.append(itemgetter(*_scatter(range(m), _induced_index_map(images, n))))
+        gathers = chain(level, *(map(take, level) for take in takes))
+        # S_0's gathers become getters one by one, so the n! of them never all exist
+        level = list(gathers) if k else starmap(itemgetter, gathers)
+    return tuple(zip(permutations(range(1, n + 1)), level))
 
 
 def act(action: PairAction, x: EdgeVector) -> EdgeVector:

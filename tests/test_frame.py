@@ -6,6 +6,7 @@ import pytest
 
 from paircanon.frame import (
     CanonResult,
+    _coset_leaders,
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
@@ -16,6 +17,7 @@ from paircanon.pairgroup import (
     GroupSizeError,
     VertexPermutation,
     _Chain,
+    _group_table,
     act,
     induced_pair_action,
 )
@@ -24,6 +26,7 @@ from oracles import (
     all_actions,
     all_simple_vectors,
     frame_coset_check,
+    lex_pairs,
     naive_canonical,
     orbit_of,
     random_permutation,
@@ -213,6 +216,38 @@ def test_pruned_agrees_with_bruteforce_on_weighted_twins(n):
     for x in inputs:
         assert twin_classes(n, x.weights)
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
+
+
+def _simple_graph_n8(adjacent):
+    return EdgeVector(8, tuple(int(adjacent(i, j)) for i, j in lex_pairs(8)))
+
+
+@pytest.mark.parametrize(
+    "x, order",
+    [
+        (zero_vector(8), 40320),
+        (_simple_graph_n8(lambda i, j: True), 40320),
+        (_simple_graph_n8(lambda i, j: (i <= 4) != (j <= 4)), 2 * 24 * 24),  # K4,4
+        (_simple_graph_n8(lambda i, j: i == 1), 5040),  # K1,7
+        (_simple_graph_n8(lambda i, j: j - i in (1, 7)), 16),  # the 8-cycle
+    ],
+    ids=["empty8", "complete8", "K4,4", "K1,7", "cycle8"],
+)
+def test_pruned_agrees_with_bruteforce_on_large_groups_n8(x, order):
+    # brute force builds its chain from the stabilizer it enumerates, here up
+    # to all 8! relabelings; the search finds the same group from a few
+    brute, pruned = canonical_form_bruteforce(x), canonical_form_pruned(x)
+    assert brute.canonical == pruned.canonical and brute.frame == pruned.frame
+    assert brute.aut_order == pruned.aut_order == order
+    assert brute.generators == pruned.generators
+
+
+def test_bruteforce_hands_the_chain_one_element_per_coset():
+    # the whole S_5, ascending: one leader for each first moved point k and
+    # image j > k, the 10 coset representatives down its stabilizer chain
+    leaders = _coset_leaders([images for images, _ in _group_table(5)])
+    keys = [next((k, g[k]) for k in range(5) if g[k] != k) for g in leaders]
+    assert sorted(keys) == [(k, j) for k in range(5) for j in range(k + 1, 5)]
 
 
 def test_pruned_scales_past_the_enumeration_limit():

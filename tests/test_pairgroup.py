@@ -240,13 +240,32 @@ def test_enumerate_group_closure_n5():
         assert a(b(v)) in table
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 6))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
 def test_group_table_gathers_equal_scatters(n):
     # every element's getter applies its induced action the one way, _scatter
     v = tuple(Fraction(k, 3) for k in range(n * (n - 1) // 2))
     for images, take in pairgroup._group_table(n):
         index_map = induced_pair_action(VertexPermutation(images)).index_map
         assert take(v) == pairgroup._scatter(v, index_map)
+
+
+def test_group_table_gathers_equal_scatters_sampled_n8():
+    table = pairgroup._group_table(8)
+    v = tuple(Fraction(k, 3) for k in range(28))
+    for images, take in random.Random(8).sample(table, 2000):
+        index_map = induced_pair_action(VertexPermutation(images)).index_map
+        assert take(v) == pairgroup._scatter(v, index_map)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+def test_group_table_lists_each_element_once_in_order(n):
+    table = pairgroup._group_table(n)
+    assert len(table) == math.factorial(n)
+    images = [images for images, _ in table]
+    assert all(a < b for a, b in zip(images, images[1:]))
+    # a vector of distinct entries: distinct gathers of it are distinct maps
+    v = tuple(range(n * (n - 1) // 2))
+    assert len({take(v) for _, take in table}) == len(table)
 
 
 def test_enumerate_group_size_errors():
