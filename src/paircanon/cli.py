@@ -1,7 +1,8 @@
 """Command-line interface: canonize, compare, and evaluate invariants of graphs.
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
-parse error or recursion limit, 3 group-size limit or out of memory; an error
+parse error or recursion limit, 3 group-size limit, a group or orbit size of
+more than 4300 digits, or out of memory; an error
 prints one ``error:`` line on stderr, never a traceback, and nothing on stdout,
 since each command builds its whole output before printing it.  The polyinv
 and sortframe modules are imported by the commands that use them, so a graph
@@ -24,6 +25,7 @@ from .pairgroup import (
     MAX_EXPONENT,
     EdgeVector,
     GroupSizeError,
+    _UNPRINTABLE,
     _check_enumerable,
     _exact,
 )
@@ -43,6 +45,19 @@ def _values(items) -> str:
     return " ".join(map(str, items))
 
 
+def _texts(weights) -> list[str]:
+    """Each weight's text, built once per distinct weight object."""
+    text: dict[int, str] = {}
+    return [text.get(id(w)) or text.setdefault(id(w), str(w)) for w in weights]
+
+
+def _printable(size: int, name: str) -> int:
+    """``size``, or a GroupSizeError when it has more digits than CPython prints."""
+    if size >= _UNPRINTABLE:
+        raise GroupSizeError(f"{name} has more than {MAX_EXPONENT} digits, too many to print")
+    return size
+
+
 def _emit(
     args: argparse.Namespace, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]
 ) -> None:
@@ -60,7 +75,8 @@ def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    canonical = [str(w) for w in result.canonical.weights]
+    order = _printable(result.aut_order, "the automorphism group's order")
+    canonical = _texts(result.canonical.weights)
     generators = [g.images for g in result.generators]
     _emit(
         args,
@@ -68,13 +84,13 @@ def cmd_canon(args: argparse.Namespace) -> int:
             "n": x.n,
             "canonical": canonical,
             "frame": result.frame.images,
-            "aut_order": result.aut_order,
+            "aut_order": order,
             "aut_generators": generators,
         },
         lambda: [
             f"canonical {' '.join(canonical)}",
             f"frame {_values(result.frame.images)}",
-            f"aut_order {result.aut_order}",
+            f"aut_order {order}",
             *(f"aut_gen {_values(g)}" for g in generators),
         ],
     )
@@ -107,14 +123,14 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     x, result = _canonize(args)
-    size = result.orbit_size
+    size = _printable(result.orbit_size, "the orbit size")
     _emit(args, lambda: {"n": x.n, "orbit_size": size}, lambda: [f"orbit_size {size}"])
     return EXIT_OK
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     _, result = _canonize(args)
-    invariants = [str(w) for w in result.canonical.weights]
+    invariants = _texts(result.canonical.weights)
     _emit(args, lambda: {"invariants": invariants}, lambda: [" ".join(invariants)])
     return EXIT_OK
 

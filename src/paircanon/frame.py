@@ -18,7 +18,9 @@ visits far fewer leaves than |Aut|; Aut is held as a Schreier-Sims chain and
 enumerated only on request, up to ``max_n``! elements.  Twins, vertices with
 equal weights to every other vertex, are found before the search branches:
 each class's symmetric group lies in Aut, so the search labels one member of
-a class and skips the rest, and the chain holds it without sifting.
+a class and skips the rest, and a partition whose cells are twins is a leaf.
+The chain holds the classes' groups without sifting; when the search finds
+no other automorphism, Aut is their product, read off the classes alone.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 from .pairgroup import (
     DEFAULT_MAX_N,
@@ -35,6 +38,7 @@ from .pairgroup import (
     GroupSizeError,
     VertexPermutation,
     _Chain,
+    _TwinProduct,
     _check_enumerable,
     _group_table,
     _orbit,
@@ -46,7 +50,9 @@ from .pairgroup import (
 class CanonResult:
     """Canonical vector, the frame reaching it, and the input's stabilizer Aut.
 
-    Aut is held as a stabilizer chain (``None`` for the trivial group).  Two
+    Aut is held as a stabilizer chain, or as the product of the symmetric
+    groups of its twin classes when that is all of it (``None`` for the
+    trivial group).  Two
     results are equal when their vectors, frames and greedy generating sets
     are; the greedy set depends on the group alone, so equal sets mean equal
     groups.
@@ -54,12 +60,12 @@ class CanonResult:
 
     canonical: EdgeVector
     frame: VertexPermutation
-    chain: _Chain | None = field(repr=False)
+    group: _Chain | _TwinProduct | None = field(repr=False)
     max_n: int = DEFAULT_MAX_N
 
     @property
     def aut_order(self) -> int:
-        return self.chain.order if self.chain else 1
+        return self.group.order if self.group else 1
 
     @property
     def orbit_size(self) -> int:
@@ -70,12 +76,12 @@ class CanonResult:
     def generators(self) -> tuple[VertexPermutation, ...]:
         """The greedy generating set of Aut (:meth:`_Chain.greedy_generators`),
         which ``canon`` prints; () for the trivial group."""
-        return tuple(self.chain.greedy_generators()) if self.chain else ()
+        return tuple(self.group.greedy_generators()) if self.group else ()
 
     @cached_property
     def automorphisms(self) -> frozenset[VertexPermutation]:
         """Every automorphism, enumerated on first use; at most max_n! of them."""
-        if self.chain is None:
+        if self.group is None:
             return frozenset({VertexPermutation.identity(self.canonical.n)})
         # Aut has at most n! elements, so a limit of n or more never binds
         n = self.canonical.n
@@ -85,7 +91,7 @@ class CanonResult:
                 f"(enumeration limit max_n={self.max_n}); pass a larger max_n to allow it"
             )
         return frozenset(
-            VertexPermutation(tuple(v + 1 for v in a)) for a in self.chain.elements()
+            VertexPermutation._from_images(tuple(v + 1 for v in a)) for a in self.group.elements()
         )
 
     def __eq__(self, other):
@@ -107,15 +113,16 @@ def _result(
     With neither the group is trivial and ``frame`` is the only minimizer;
     otherwise the frame is the smallest element of frame.Aut.
     """
-    if not automorphisms and not twins:
-        chain = None
+    if automorphisms:
+        group = _Chain(x.n, automorphisms, twins)
     else:
-        chain = _Chain(x.n, automorphisms, twins)
-        frame = chain.coset_min(frame)
+        group = _TwinProduct(x.n, twins) if twins else None
+    if group:
+        frame = group.coset_min(frame)
     return CanonResult(
         EdgeVector._from_exact(x.n, canonical),
-        VertexPermutation(tuple(v + 1 for v in frame)),
-        chain,
+        VertexPermutation._from_images(tuple(v + 1 for v in frame)),
+        group,
         max_n,
     )
 
@@ -194,9 +201,13 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     of its children.  Unlabelled twins share a cell and give equal rows, so
     below the root a node builds one child per class, and an explored child
     marks its class seen, closed under the fixing automorphisms, which map
-    classes onto classes.  The classes' symmetric groups and the automorphisms
-    found generate Aut, which is kept as a stabilizer chain.  The search runs
-    on the integer ranks of the weights, with an explicit stack.
+    classes onto classes.  Twins also have equal weights among themselves, so
+    below the root a partition whose every cell is one vertex or twins of one
+    class is a leaf: each completion gives the same rows.  It takes the one
+    the single path beneath it would give, each cell's largest member first.
+    The classes' symmetric groups and the automorphisms found generate Aut.
+    The search runs on the integer ranks of the weights, with an explicit
+    stack.
     """
     n = x.n
     ranks, levels = _ranks(x)
@@ -211,6 +222,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
     twin_of = [[u] for u in range(n)]  # each vertex's class of twins, found at the root
+    twins: list[list[int]] = []  # the classes of two or more
     automorphisms: list[tuple[int, ...]] = []  # those the search found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
@@ -229,10 +241,14 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                 continue
             seen.update(_orbit(twin_of[v], fixing))
             order[depth - 1] = v
-        if len(cells) == n - depth:
-            # discrete: the rest of the relabeling, and so every row, is forced
-            for a, cell in enumerate(cells, start=depth):
-                order[a] = cell[0]
+        if len(cells) == n - depth or twins and all(
+            all(twin_of[w] is twin_of[cell[0]] for w in cell) for cell in cells
+        ):
+            # every row is forced: the cells are vertices or twins
+            a = depth
+            for cell in cells:
+                order[a : a + len(cell)] = reversed(cell)
+                a += len(cell)
             for a in range(depth, n - 1):
                 Ra = R[order[a]]
                 rows[a] = tuple(Ra[u] for u in order[a + 1 :])
@@ -273,6 +289,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             children.append((tuple(child_row), u, child_cells))
         if not depth:
             twin_of = _twin_classes(R, children)
+            twins = [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
         least = min(child[0] for child in children)
         if least > best[depth]:
             continue
@@ -287,7 +304,6 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
-    twins = [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
     return _result(x, canonical, frame, automorphisms, max_n, twins)
 
 
@@ -296,22 +312,37 @@ def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
     agree, ascending and shared by its members; [u] when u has no twin.  Twins
     have equal sorted rows, the root's child rows, so a vertex is compared only
     with the first member of each class of its row: being twins is transitive.
+
+    Row u's key is the sum of R[u][w] * mix[w], made only for a row that two
+    vertices share.  Twins a and u have equal rows but at a and u, where each
+    holds R[a][u] against the other's 0 on the diagonal, so their keys differ
+    by R[a][u] * (mix[u] - mix[a]): a pair failing that test is rejected at
+    once, and one passing it is compared.
     """
-    by_row: dict[tuple[int, ...], list[list[int]]] = {}
-    twin_of: list[list[int]] = [[] for _ in R]
+    by_row: dict[tuple[int, ...], list[int]] = {}
     for row, u, _ in children:
-        classes = by_row.setdefault(row, [])
-        Ru = R[u]
-        for c in classes:
-            a = c[0]  # below u, as the root's children ascend
-            Ra, lo, hi = R[a], a + 1, u + 1
-            if Ra[:a] == Ru[:a] and Ra[lo:u] == Ru[lo:u] and Ra[hi:] == Ru[hi:]:
-                break
-        else:
-            c = []
-            classes.append(c)
-        c.append(u)
-        twin_of[u] = c
+        by_row.setdefault(row, []).append(u)
+    twin_of = [[u] for u in range(len(R))]
+    mix: list[int] = []
+    for group in by_row.values():
+        if len(group) == 1:
+            continue
+        mix = mix or [(w * 0x9E3779B97F4A7C15) >> 32 & 0xFFFFFFFF for w in range(1, len(R) + 1)]
+        classes: list[tuple[list[int], int]] = []  # (class, its first member's key)
+        for u in group:
+            Ru, key_u = R[u], sum(map(mul, R[u], mix))
+            for c, key_a in classes:
+                a = c[0]  # below u, as the root's children ascend
+                if key_a - key_u != Ru[a] * (mix[u] - mix[a]):
+                    continue
+                Ra, lo, hi = R[a], a + 1, u + 1
+                if Ra[:a] == Ru[:a] and Ra[lo:u] == Ru[lo:u] and Ra[hi:] == Ru[hi:]:
+                    break
+            else:
+                c = []
+                classes.append((c, key_u))
+            c.append(u)
+            twin_of[u] = c
     return twin_of
 
 

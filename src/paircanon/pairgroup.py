@@ -8,7 +8,9 @@ rest of the package canonizes against.  All scalars are exact rationals.
 Subgroups of vertex permutations, such as a graph's automorphism group, are
 held as Schreier-Sims stabilizer chains, whose levels for the symmetric
 groups of disjoint classes of points are built without sifting, and a
-group's greedy generating set is read level by level from its one chain.
+group's greedy generating set is read level by level from its one chain; a
+group that is only the product of such symmetric groups is read off the
+classes themselves.
 The pair order, the application of a permutation, the group operations, the
 list of all n! relabelings, which holds each induced action as a getter that
 gathers in C what that application scatters, and the rule for an exact
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations, starmap
-from math import prod
+from math import factorial, prod
 from operator import index, itemgetter
 from typing import Collection, Iterable
 
@@ -84,6 +86,13 @@ class VertexPermutation:
         n = len(images)
         if n < 1 or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
+
+    @classmethod
+    def _from_images(cls, images: tuple[int, ...]) -> VertexPermutation:
+        """A permutation of 1..n from a tuple of int images known to be one, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @property
     def n(self) -> int:
@@ -385,7 +394,48 @@ class _Chain:
                     picks.append(self.coset_min(self.trans[k][b][0], k + 1))
                     # deeper picks fix k but can move the points k reaches
                     orbit = _orbit([k], picks)
-        return [VertexPermutation(tuple(v + 1 for v in g)) for g in picks]
+        return [VertexPermutation._from_images(tuple(v + 1 for v in g)) for g in picks]
+
+
+class _TwinProduct:
+    """The direct product of the symmetric groups of ``twins``, disjoint
+    ascending lists of points of 0..n-1, read off the classes without a chain.
+
+    It answers what ``_Chain(n, (), twins)`` answers.  The orbit of a class
+    member k under G_k is the rest of its class from k on, so |G| is the
+    product of the classes' factorials, and the smallest member of c.G gives
+    each class its images under c in ascending order.  The orbits of G_(k+1)
+    lie inside the classes, so for the next member b of k's class, (k b) is
+    the smallest member of its coset of G_(k+1): the greedy pick at level k.
+    """
+
+    def __init__(self, n: int, twins: list[list[int]]):
+        self.n = n
+        self.twins = twins
+
+    @property
+    def order(self) -> int:
+        return prod(factorial(len(c)) for c in self.twins)
+
+    def coset_min(self, c: tuple[int, ...]) -> tuple[int, ...]:
+        """The one-line smallest member of c.G."""
+        least = list(c)
+        for twin_class in self.twins:
+            for k, image in zip(twin_class, sorted(map(c.__getitem__, twin_class))):
+                least[k] = image
+        return tuple(least)
+
+    def elements(self) -> list[tuple[int, ...]]:
+        return _Chain(self.n, (), self.twins).elements()
+
+    def greedy_generators(self) -> list[VertexPermutation]:
+        """Each class member's transposition with the next member, deepest level first."""
+        picks = []
+        for k, b in sorted((pair for c in self.twins for pair in zip(c, c[1:])), reverse=True):
+            images = list(range(1, self.n + 1))
+            images[k], images[b] = b + 1, k + 1
+            picks.append(VertexPermutation._from_images(tuple(images)))
+        return picks
 
 
 def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutation]:

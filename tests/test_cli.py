@@ -12,9 +12,15 @@ import pytest
 
 import paircanon
 from paircanon.cli import build_parser, main, run
-from paircanon.frame import canonical_form_pruned
+from paircanon.frame import CanonResult, canonical_form_pruned
 from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6
-from paircanon.pairgroup import EdgeVector, VertexPermutation, act, induced_pair_action
+from paircanon.pairgroup import (
+    EdgeVector,
+    VertexPermutation,
+    _TwinProduct,
+    act,
+    induced_pair_action,
+)
 
 P4_TEXT = "n 4\n1 2 1\n2 3 1\n3 4 1\n"
 P4 = EdgeVector(4, (1, 0, 0, 1, 0, 1))
@@ -376,6 +382,27 @@ def test_brute_size_limit_exit_3_for_huge_n(tmp_path, capsys):
     path = write(tmp_path, "huge.txt", "n 2000\n1 2 1\n")
     assert main(["canon", "--engine", "brute", path]) == 3
     assert "max_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, group, name",
+    [
+        ("canon", _TwinProduct(1600, [list(range(1600))]), "the automorphism group's order"),
+        ("orbit", None, "the orbit size"),
+    ],
+    ids=["aut_order", "orbit_size"],
+)
+def test_sizes_beyond_4300_digits_exit_3(tmp_path, capsys, monkeypatch, command, group, name):
+    # |Aut| = 1600! and, for the trivial group, the orbit size 1600! have 4434
+    # digits; the result is made without a search
+    n = 1600
+    zeros = EdgeVector._from_exact(n, (Fraction(0),) * (n * (n - 1) // 2))
+    result = CanonResult(zeros, VertexPermutation.identity(n), group)
+    monkeypatch.setattr("paircanon.cli.canonical_form", lambda x, engine, max_n: result)
+    assert main([command, "--json", write(tmp_path, "g.txt", f"n {n}\n")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} has more than 4300 digits, too many to print\n"
 
 
 def test_pruned_engine_handles_n9(tmp_path, capsys):

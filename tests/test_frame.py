@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from paircanon.frame import (
     CanonResult,
     _coset_leaders,
+    _ranks,
+    _twin_classes,
     canonical_form,
     canonical_form_bruteforce,
     canonical_form_pruned,
@@ -216,6 +219,61 @@ def test_pruned_agrees_with_bruteforce_on_weighted_twins(n):
     for x in inputs:
         assert twin_classes(n, x.weights)
         assert canonical_form_pruned(x) == canonical_form_bruteforce(x)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+def test_pruned_agrees_with_bruteforce_on_perturbed_twins(n):
+    # one or two weights of a twin graph changed: some twins survive, some
+    # classes split, and the twin-cell leaves must still reach brute force's
+    # vector, frame and group
+    rng = random.Random(83 + n)
+    values = [0, 1, Fraction(1, 2), Fraction(5, 2)]
+    for _ in range(12):
+        weights = list(twin_graph_weights(rng, n, rng.randrange(1, min(n - 1, 3) + 1)))
+        for s in rng.sample(range(len(weights)), rng.randrange(1, 3)):
+            weights[s] = rng.choice(values)
+        x = EdgeVector(n, weights)
+        pruned, brute = canonical_form_pruned(x), canonical_form_bruteforce(x)
+        assert pruned == brute and pruned.aut_order == brute.aut_order, x
+        if n <= 7:
+            assert pruned.automorphisms == brute.automorphisms
+
+
+def _root_twin_classes(x):
+    """``_twin_classes`` on the matrix and the root's child rows of the search."""
+    n = x.n
+    ranks, _ = _ranks(x)
+    R = [[0] * n for _ in range(n)]
+    for (i, j), r in zip(combinations(range(n), 2), ranks):
+        R[i][j] = R[j][i] = r
+    children = [(tuple(sorted(R[u][:u] + R[u][u + 1 :])), u, None) for u in range(n)]
+    twin_of = _twin_classes(R, children)
+    return [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
+
+
+def test_twin_classes_match_the_pairwise_oracle():
+    rng = random.Random(89)
+    inputs = [EdgeVector(40, tuple(int(j - i in (1, 39)) for i, j in lex_pairs(40)))]  # C40
+    for n in range(3, 11):
+        for _ in range(8):
+            weights = list(twin_graph_weights(rng, n, rng.randrange(1, min(n, 7))))
+            weights[rng.randrange(len(weights))] = rng.choice((0, 1, Fraction(1, 3)))
+            inputs.append(EdgeVector(n, weights))
+            inputs.append(EdgeVector(n, random_simple_weights(rng, n * (n - 1) // 2)))
+    for x in inputs:
+        assert _root_twin_classes(x) == twin_classes(x.n, x.weights), x
+
+
+def test_twin_only_group_at_500_vertices():
+    # `n 500` plus one edge: the classes {1, 2} and {3..500} are all of Aut,
+    # read off without a stabilizer chain of 124,251 transpositions
+    n = 500
+    x = EdgeVector._from_exact(n, (Fraction(1),) + (Fraction(0),) * (n * (n - 1) // 2 - 1))
+    result = canonical_form_pruned(x)
+    assert result.aut_order == 2 * math.factorial(498)
+    assert len(result.generators) == 498
+    assert result.frame.images == (499, 500, *range(1, 499))
+    assert result.canonical.weights[-1] == 1 and sum(result.canonical.weights) == 1
 
 
 def _simple_graph_n8(adjacent):
