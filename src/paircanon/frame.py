@@ -4,9 +4,8 @@ The canonical form of a weight vector is the lexicographically smallest
 vector among all its relabelings.  Alongside it we report a frame: the
 relabeling that reaches the minimum, made unique by picking the smallest
 minimizer in one-line notation, plus the automorphism group Aut of the
-input.  The minimizers form the coset frame.Aut, so the frame is fixed once
-Aut is known: it is the coset's smallest element, found base point by base
-point on Aut's stabilizer chain.  Two vectors have equal canonical forms
+input.  The minimizers form the coset frame.Aut, so the frame is the coset's
+smallest element once Aut is known.  Two vectors have equal canonical forms
 exactly when one is a relabeling of the other, so the canonical coordinates
 are a complete isomorphism invariant.
 
@@ -14,13 +13,13 @@ Two engines compute the same result: a brute-force minimum over all n!
 relabelings (the oracle, bounded by ``max_n``) and a row-refinement search
 over the integer ranks of the weights, in which each label settles one row.
 The search records the automorphisms it meets and prunes with them, so it
-visits far fewer leaves than |Aut|; Aut is held as a Schreier-Sims chain and
-enumerated only on request, up to ``max_n``! elements.  Twins, vertices with
-equal weights to every other vertex, are found before the search branches:
-each class's symmetric group lies in Aut, so the search labels one member of
-a class and skips the rest, and a partition whose cells are twins is a leaf.
-The chain holds the classes' groups without sifting; when the search finds
-no other automorphism, Aut is their product, read off the classes alone.
+visits far fewer leaves than |Aut|.  Twins, vertices with equal weights to
+every other vertex, are found before the search branches: each class's
+symmetric group lies in Aut, so the search labels one member of a class and
+skips the rest, and a partition whose cells are twins is a leaf.  Aut is held
+as the twin classes and a chain of the found automorphisms' action on them
+(:class:`paircanon.pairgroup._Group`), enumerated only on request, up to
+``max_n``! elements.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from .pairgroup import (
     EdgeVector,
     GroupSizeError,
     VertexPermutation,
-    _Chain,
-    _TwinProduct,
+    _Group,
     _check_enumerable,
     _group_table,
     _orbit,
@@ -50,9 +48,7 @@ from .pairgroup import (
 class CanonResult:
     """Canonical vector, the frame reaching it, and the input's stabilizer Aut.
 
-    Aut is held as a stabilizer chain, or as the product of the symmetric
-    groups of its twin classes when that is all of it (``None`` for the
-    trivial group).  Two
+    Aut is held as its twin classes and a chain of its action on them.  Two
     results are equal when their vectors, frames and greedy generating sets
     are; the greedy set depends on the group alone, so equal sets mean equal
     groups.
@@ -60,12 +56,12 @@ class CanonResult:
 
     canonical: EdgeVector
     frame: VertexPermutation
-    group: _Chain | _TwinProduct | None = field(repr=False)
+    group: _Group = field(repr=False)
     max_n: int = DEFAULT_MAX_N
 
     @property
     def aut_order(self) -> int:
-        return self.group.order if self.group else 1
+        return self.group.order
 
     @property
     def orbit_size(self) -> int:
@@ -74,15 +70,13 @@ class CanonResult:
 
     @cached_property
     def generators(self) -> tuple[VertexPermutation, ...]:
-        """The greedy generating set of Aut (:meth:`_Chain.greedy_generators`),
+        """The greedy generating set of Aut (:meth:`_Group.greedy_generators`),
         which ``canon`` prints; () for the trivial group."""
-        return tuple(self.group.greedy_generators()) if self.group else ()
+        return tuple(self.group.greedy_generators())
 
     @cached_property
     def automorphisms(self) -> frozenset[VertexPermutation]:
         """Every automorphism, enumerated on first use; at most max_n! of them."""
-        if self.group is None:
-            return frozenset({VertexPermutation.identity(self.canonical.n)})
         # Aut has at most n! elements, so a limit of n or more never binds
         n = self.canonical.n
         if self.max_n < n and self.aut_order > math.factorial(max(self.max_n, 0)):
@@ -105,23 +99,14 @@ class CanonResult:
 
 
 def _result(
-    x: EdgeVector, canonical, frame, automorphisms: list[tuple], max_n: int, twins=()
+    x: EdgeVector, canonical, frame, automorphisms: list[tuple], max_n: int, classes=None
 ) -> CanonResult:
-    """The result for a frame and automorphisms, both 0-based image tuples, and
-    the twin classes, whose symmetric groups are in Aut too.
-
-    With neither the group is trivial and ``frame`` is the only minimizer;
-    otherwise the frame is the smallest element of frame.Aut.
-    """
-    if automorphisms:
-        group = _Chain(x.n, automorphisms, twins)
-    else:
-        group = _TwinProduct(x.n, twins) if twins else None
-    if group:
-        frame = group.coset_min(frame)
+    """The result for a minimizer and automorphisms, 0-based, and the twin
+    classes: Aut is the group they generate, the frame the least of frame.Aut."""
+    group = _Group(x.n, automorphisms, classes)
     return CanonResult(
         EdgeVector._from_exact(x.n, canonical),
-        VertexPermutation._from_images(tuple(v + 1 for v in frame)),
+        VertexPermutation._from_images(tuple(v + 1 for v in group.coset_min(frame))),
         group,
         max_n,
     )
@@ -221,8 +206,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     # rows of the incumbent, or of a prefix that beat it followed by top rows
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
-    twin_of = [[u] for u in range(n)]  # each vertex's class of twins, found at the root
-    twins: list[list[int]] = []  # the classes of two or more
+    # each vertex's class of twins, and the classes by first member, found at the root
+    twin_of = classes = [[u] for u in range(n)]
     automorphisms: list[tuple[int, ...]] = []  # those the search found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
@@ -241,7 +226,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                 continue
             seen.update(_orbit(twin_of[v], fixing))
             order[depth - 1] = v
-        if len(cells) == n - depth or twins and all(
+        if len(cells) == n - depth or len(classes) < n and all(
             all(twin_of[w] is twin_of[cell[0]] for w in cell) for cell in cells
         ):
             # every row is forced: the cells are vertices or twins
@@ -289,7 +274,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             children.append((tuple(child_row), u, child_cells))
         if not depth:
             twin_of = _twin_classes(R, children)
-            twins = [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
+            classes = [c for u, c in enumerate(twin_of) if c[0] == u]
         least = min(child[0] for child in children)
         if least > best[depth]:
             continue
@@ -304,7 +289,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
-    return _result(x, canonical, frame, automorphisms, max_n, twins)
+    return _result(x, canonical, frame, automorphisms, max_n, classes)
 
 
 def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:

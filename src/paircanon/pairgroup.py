@@ -5,16 +5,13 @@ lexicographic pair order (1,2) < (1,3) < ... < (n-1,n).  Relabeling the
 vertices by a permutation of {1..n} shuffles the edge positions; the group of
 those induced position permutations, acting on weight vectors, is what the
 rest of the package canonizes against.  All scalars are exact rationals.
-Subgroups of vertex permutations, such as a graph's automorphism group, are
-held as Schreier-Sims stabilizer chains, whose levels for the symmetric
-groups of disjoint classes of points are built without sifting, and a
-group's greedy generating set is read level by level from its one chain; a
-group that is only the product of such symmetric groups is read off the
-classes themselves.
-The pair order, the application of a permutation, the group operations, the
-list of all n! relabelings, which holds each induced action as a getter that
-gathers in C what that application scatters, and the rule for an exact
-literal each have one definition in this module.
+A group of vertex permutations, such as a graph's automorphism group, is
+held as classes of points whose symmetric groups it holds and a Schreier-Sims
+chain of its action on the classes; its greedy generating set is read level
+by level from the two.  The pair order, the application of a permutation, the
+group operations, the list of all n! relabelings, which holds each induced
+action as a getter that gathers in C what that application scatters, and the
+rule for an exact literal each have one definition in this module.
 """
 
 from __future__ import annotations
@@ -260,13 +257,6 @@ def _orbit(points: Iterable[int], perms: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _transposition(n: int, a: int, b: int) -> tuple[int, ...]:
-    """The transposition of the points a and b of 0..n-1, as an image tuple."""
-    images = list(range(n))
-    images[a], images[b] = b, a
-    return tuple(images)
-
-
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """``a`` after ``b``, on 0-based image tuples: the result maps i to a[b[i]]."""
     return tuple(map(a.__getitem__, b))
@@ -281,30 +271,13 @@ class _Chain:
     u[k] == b.  So |G| is the product of the orbit lengths, and G_k is the
     union of the cosets u.G_(k+1) (Sims 1970; Seress, *Permutation Group
     Algorithms*, 2003, ch. 4).  Permutations are 0-based image tuples.
-
-    The group is generated by ``gens`` and the symmetric groups of the
-    ``twins``, disjoint ascending lists of points; the search prunes twins as
-    classes, and their transpositions exist only here.  Their product is built
-    without sifting: the orbit of a class member k is the rest of its class
-    from k on, each point b reached by the transposition (k b), its own
-    inverse, and gens[k] holds the transpositions of adjacent class members
-    whose smaller point is at least k.
     """
 
-    def __init__(self, n: int, gens: Iterable[tuple] = (), twins: Iterable[list[int]] = ()):
+    def __init__(self, n: int, gens: Iterable[tuple] = ()):
         identity = tuple(range(n))
         self.n = n
         self.gens: list[list[tuple]] = [[] for _ in range(n)]  # (s, s^-1) pairs
         self.trans = [{k: (identity, identity)} for k in range(n)]
-        for twin_class in twins:
-            for i, k in enumerate(twin_class):
-                for b in twin_class[i + 1 :]:
-                    t = _transposition(n, k, b)
-                    self.trans[k][b] = (t, t)
-            for k, b in zip(twin_class, twin_class[1:]):
-                pair = self.trans[k][b]
-                for level in range(k + 1):
-                    self.gens[level].append(pair)
         for g in gens:
             self.add(g)
 
@@ -361,8 +334,9 @@ class _Chain:
             work.extend((k, pair, b) for b in self.trans[k] if b != k or k == last)
         return work
 
-    def coset_min(self, c: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
-        """The one-line smallest member of c.G_level, base point by base point."""
+    def coset_min(self, c: tuple, level: int = 0) -> tuple:
+        """The one-line smallest member of c.G_level, base point by base point;
+        c may hold any comparable keys."""
         for orbit in self.trans[level:]:
             if len(orbit) > 1:
                 c = _compose(c, orbit[min(orbit, key=c.__getitem__)][0])
@@ -376,72 +350,112 @@ class _Chain:
                 elements = [_compose(u, e) for u, _ in orbit.values() for e in elements]
         return elements
 
+
+class _Group:
+    """The permutation group G on 0..n-1 generated by ``gens``, which map
+    classes onto classes, and the symmetric groups of the ``classes``: every
+    point ascending, ordered by first member, singletons by default.  The
+    classes are blocks of G, and T, the product of their symmetric groups, is
+    the kernel of G's action on them (Seress, *Permutation Group Algorithms*,
+    2003): G is T extended by H, the group the generators induce on the class
+    indices, held as a ``_Chain`` (None without generators).  The sorted lift
+    L(h), mapping each class i onto class h(i) in ascending order, lies in G,
+    and L is a homomorphism that keeps one-line order (two lifts first differ
+    at the first member of the first class they map apart).  So G = L(H).T, and
+    G_k, the pointwise stabilizer of 0..k-1, is L(H_K).T_k: H_K fixes the K
+    classes that start below k, and T_k permutes each class's points from k on.
+    """
+
+    def __init__(self, n: int, gens: Collection[tuple] = (), classes: list | None = None):
+        self.n = n
+        self.classes = classes or [[v] for v in range(n)]
+        self.twins = [c for c in self.classes if len(c) > 1]
+        self.class_of: Collection[int] = range(n)  # each point's class; read only with gens
+        if self.twins and gens:
+            self.class_of = {v: i for i, c in enumerate(self.classes) for v in c}
+            gens = [tuple(self.class_of[g[c[0]]] for c in self.classes) for g in gens]
+        self.quotient = _Chain(len(self.classes), gens) if gens else None
+        factorials = prod(factorial(len(c)) for c in self.twins)
+        self.order = factorials * self.quotient.order if self.quotient else factorials
+
+    def _lift(self, h: tuple[int, ...]) -> tuple[int, ...]:
+        """L(h), as an image tuple."""
+        if not self.twins:
+            return h
+        targets = [w for j in h for w in self.classes[j]]
+        return _scatter(targets, [v + 1 for c in self.classes for v in c])
+
+    def coset_min(self, c: tuple[int, ...], level: int = 0) -> tuple[int, ...]:
+        """The one-line smallest member of c.G_level.  It maps each class i's
+        points from ``level`` on, ascending, to c's ascending images of class
+        h(i)'s, h being H_K's least under the keys (c's least image in a class,
+        its index), which order the points where two choices of h first differ."""
+        if not self.twins:
+            return self.quotient.coset_min(c, level) if self.quotient else c
+        moves = zip(self.twins, self.twins)  # (class, its image)
+        if self.quotient:
+            keys = [(min(map(c.__getitem__, cls)), i) for i, cls in enumerate(self.classes)]
+            h = self.quotient.coset_min(keys, sum(cls[0] < level for cls in self.classes))
+            moves = zip(self.classes, (self.classes[j] for _, j in h))
+        least = list(c)
+        for cls, image in moves:
+            if cls[0] < level:  # H_K fixes cls
+                cls = image = [v for v in cls if v >= level]
+            for v, w in zip(cls, sorted(map(c.__getitem__, image))):
+                least[v] = w
+        return tuple(least)
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element: each lift, with its images of each class in every order."""
+        hs = self.quotient.elements() if self.quotient else [tuple(range(len(self.classes)))]
+        elements = list(map(self._lift, hs))
+        for c in self.twins:
+            # gathers e + p as e with the images p at the points of c
+            take = itemgetter(*(self.n + c.index(v) if v in c else v for v in range(self.n)))
+            elements = [take(e + p) for e in elements for p in permutations(map(e.__getitem__, c))]
+        return elements
+
     def greedy_generators(self) -> list[VertexPermutation]:
         """Greedy in one-line order: each element, ascending, that is not in the
         group the picks before it generate; [] for the trivial group.
 
         In one-line order G_(k+1) precedes G_k minus G_(k+1), whose members sort
         by their image of k first.  So when the scan reaches level k the picks
-        generate some H with G_(k+1) <= H <= G_k, and a member of G_k is in H
-        exactly when its image of k is in H's orbit of k: the picks at level k
+        generate some P with G_(k+1) <= P <= G_k, and a member of G_k is in P
+        exactly when its image of k is in P's orbit of k: the picks at level k
         are the smallest members of the cosets whose image of k is outside it.
+        Unless k starts its class i and H_i moves i, that orbit is the rest of i,
+        which G_(k+1) permutes, and no class H_K may map onto i starts between k
+        and the next member b: the one pick is (k b).  Elsewhere P's orbit of k,
+        once past k, is the classes that meet the scanned picks' orbit of k.
         """
-        picks: list[tuple[int, ...]] = []
-        for k in reversed(range(self.n)):
-            orbit = {k}
-            for b in sorted(self.trans[k]):
-                if b not in orbit:
-                    picks.append(self.coset_min(self.trans[k][b][0], k + 1))
-                    # deeper picks fix k but can move the points k reaches
-                    orbit = _orbit([k], picks)
-        return [VertexPermutation._from_images(tuple(v + 1 for v in g)) for g in picks]
-
-
-class _TwinProduct:
-    """The direct product of the symmetric groups of ``twins``, disjoint
-    ascending lists of points of 0..n-1, read off the classes without a chain.
-
-    It answers what ``_Chain(n, (), twins)`` answers.  The orbit of a class
-    member k under G_k is the rest of its class from k on, so |G| is the
-    product of the classes' factorials, and the smallest member of c.G gives
-    each class its images under c in ascending order.  The orbits of G_(k+1)
-    lie inside the classes, so for the next member b of k's class, (k b) is
-    the smallest member of its coset of G_(k+1): the greedy pick at level k.
-    """
-
-    def __init__(self, n: int, twins: list[list[int]]):
-        self.n = n
-        self.twins = twins
-
-    @property
-    def order(self) -> int:
-        return prod(factorial(len(c)) for c in self.twins)
-
-    def coset_min(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        """The one-line smallest member of c.G."""
-        least = list(c)
-        for twin_class in self.twins:
-            for k, image in zip(twin_class, sorted(map(c.__getitem__, twin_class))):
-                least[k] = image
-        return tuple(least)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return _Chain(self.n, (), self.twins).elements()
-
-    def greedy_generators(self) -> list[VertexPermutation]:
-        """Each class member's transposition with the next member, deepest level first."""
-        picks = []
-        for k, b in sorted((pair for c in self.twins for pair in zip(c, c[1:])), reverse=True):
-            images = list(range(1, self.n + 1))
-            images[k], images[b] = b + 1, k + 1
-            picks.append(VertexPermutation._from_images(tuple(images)))
+        classes, class_of = self.classes, self.class_of
+        orbits = self.quotient.trans if self.quotient else ()
+        scans = {classes[i][0]: orbit for i, orbit in enumerate(orbits) if len(orbit) > 1}
+        later = {k: b for c in self.twins for k, b in zip(c, c[1:])}
+        picks, scanned = [], []  # every pick; those made by scanning, as image tuples
+        for k in sorted(scans.keys() | later.keys(), reverse=True):
+            if k not in scans:
+                images = list(range(1, self.n + 1))
+                images[k], images[later[k]] = later[k] + 1, k + 1
+                picks.append(VertexPermutation._from_images(tuple(images)))
+                continue
+            reached = {k}
+            for b in sorted(v for j in scans[k] for v in classes[j]):
+                if b not in reached:
+                    u = list(self._lift(scans[k][class_of[b]][0]))
+                    a = u.index(b)  # in k's class: with k and a swapped, k goes to b
+                    u[k], u[a] = b, u[k]
+                    scanned.append(self.coset_min(tuple(u), k + 1))
+                    picks.append(VertexPermutation._from_images(tuple(v + 1 for v in scanned[-1])))
+                    reached = {v for a in _orbit([k], scanned) for v in classes[class_of[a]]}
         return picks
 
 
 def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutation]:
-    """The greedy generating set (:meth:`_Chain.greedy_generators`) of the group
+    """The greedy generating set (:meth:`_Group.greedy_generators`) of the group
     the permutations generate."""
     if not perms:
         raise ValueError("empty permutation collection")
-    group = _Chain(next(iter(perms)).n, (tuple(v - 1 for v in p.images) for p in perms))
-    return group.greedy_generators()
+    gens = [tuple(v - 1 for v in p.images) for p in perms]
+    return _Group(len(gens[0]), gens).greedy_generators()

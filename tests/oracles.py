@@ -156,6 +156,18 @@ def twin_classes(n, weights):
     return [c for c in classes if len(c) > 1]
 
 
+def twin_transpositions(n, classes):
+    """The transposition of each two adjacent members of a class, as 0-based
+    image tuples; they generate the product of the classes' symmetric groups."""
+    swaps = []
+    for c in classes:
+        for a, b in zip(c, c[1:]):
+            images = list(range(n))
+            images[a], images[b] = b, a
+            swaps.append(tuple(images))
+    return swaps
+
+
 def random_permutation(rng: random.Random, n: int):
     images = list(range(1, n + 1))
     rng.shuffle(images)

@@ -17,7 +17,7 @@ from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6
 from paircanon.pairgroup import (
     EdgeVector,
     VertexPermutation,
-    _TwinProduct,
+    _Group,
     act,
     induced_pair_action,
 )
@@ -387,8 +387,8 @@ def test_brute_size_limit_exit_3_for_huge_n(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, group, name",
     [
-        ("canon", _TwinProduct(1600, [list(range(1600))]), "the automorphism group's order"),
-        ("orbit", None, "the orbit size"),
+        ("canon", _Group(1600, classes=[list(range(1600))]), "the automorphism group's order"),
+        ("orbit", _Group(1600), "the orbit size"),
     ],
     ids=["aut_order", "orbit_size"],
 )

@@ -19,7 +19,7 @@ from paircanon.pairgroup import (
     EdgeVector,
     GroupSizeError,
     VertexPermutation,
-    _Chain,
+    _Group,
     _group_table,
     act,
     induced_pair_action,
@@ -322,10 +322,10 @@ def test_results_with_a_proper_subgroup_of_aut_are_unequal():
     # and frame, but the chain holds a group of order 2
     result = canonical_form_pruned(zero_vector(5))
     gens = [tuple(v - 1 for v in g.images) for g in result.generators]
-    partial = CanonResult(result.canonical, result.frame, _Chain(5, gens[:1]))
+    partial = CanonResult(result.canonical, result.frame, _Group(5, gens[:1]))
     assert (partial.aut_order, result.aut_order) == (2, 120)
     assert partial != result and result != partial
-    assert CanonResult(result.canonical, result.frame, _Chain(5, gens)) == result
+    assert CanonResult(result.canonical, result.frame, _Group(5, gens)) == result
 
 
 def test_engine_dispatch():

@@ -30,6 +30,7 @@ from oracles import (
     random_permutation,
     random_rational_weights,
     twin_classes,
+    twin_transpositions,
     zero_vector,
 )
 
@@ -438,6 +439,9 @@ def test_generating_set_matches_greedy_scan_on_graph_groups():
     graphs += [_bipartite(a, b) for a, b in ((3, 4), (3, 5), (4, 4), (3, 6), (4, 5), (2, 7))]
     graphs += [_cliques(2, 4), _cliques(3, 3), _graph(10, PETERSEN_EDGES)]
     graphs.append(_graph(8, [(i, i ^ 1 << b) for i in range(8) for b in range(3)]))  # Q3
+    # C4 with twin classes {0, 3} and {1, 2}: the picks are (1 2) and the class
+    # swap (0 1)(2 3), not (0 3), which the swap and (1 2) generate
+    graphs.append(_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
     for x in graphs:
         result = canonical_form_pruned(x)
         expected = generating_set_by_scan(result.automorphisms)
@@ -447,16 +451,20 @@ def test_generating_set_matches_greedy_scan_on_graph_groups():
         assert generating_set(sorted(result.automorphisms)) == expected, x
 
 
-def _twin_transpositions(n, twins):
-    return [pairgroup._transposition(n, a, b) for c in twins for a, b in zip(c, c[1:])]
-
-
 def _assert_same_group(built, sifted):
     assert built.order == sifted.order
-    assert [set(orbit) for orbit in built.trans] == [set(orbit) for orbit in sifted.trans]
+    c = tuple(random.Random(built.n).sample(range(built.n), built.n))
+    for level in range(built.n + 1):
+        assert built.coset_min(c, level) == sifted.coset_min(c, level)
     if built.n <= 7:
         assert sorted(built.elements()) == sorted(sifted.elements())
     assert built.greedy_generators() == sifted.greedy_generators()
+
+
+def _all_classes(n, twins):
+    """Every point's class, singletons included, ordered by first member."""
+    in_twins = {v for c in twins for v in c}
+    return sorted(twins + [[v] for v in range(n) if v not in in_twins])
 
 
 #: graphs with twin classes, and an automorphism outside the twins' groups
@@ -480,23 +488,31 @@ def _weighted_twins():
     "x, extra",
     TWIN_CASES
     + [
-        (_weighted_twins(), (1, 2, 3, 4, 5, 6, 0)),
-        # the twins fix 0, which the extra generator moves into their class
-        (_graph(5, [(0, i) for i in range(1, 5)]), (1, 0, 2, 3, 4)),
+        # the extra generator swaps the classes {1, 6} and {2, 4}
+        (_weighted_twins(), (0, 2, 1, 3, 6, 5, 4)),
+        # two stars with centres 0 and 3 joined: the twins fix 0, which the
+        # extra generator moves onto the other centre
+        (_graph(6, [(0, 1), (0, 2), (3, 4), (3, 5), (0, 3)]), (3, 4, 5, 0, 1, 2)),
     ],
-    ids=["K3,3", "3K3", "weighted", "K1,4"],
+    ids=["K3,3", "3K3", "weighted", "joined-stars"],
 )
 def test_twin_chain_matches_the_sifted_chain(x, extra):
-    # the symmetric groups of the twin classes built directly, against the
-    # same transpositions added by Schreier-Sims; then one more generator
+    # the symmetric groups of the twin classes read off the classes, against
+    # the same transpositions added by Schreier-Sims; then one more generator,
+    # which maps the classes onto classes
     twins = twin_classes(x.n, x.weights)
-    built = pairgroup._Chain(x.n, twins=twins)
-    sifted = pairgroup._Chain(x.n, _twin_transpositions(x.n, twins))
+    classes = _all_classes(x.n, twins)
+    swaps = twin_transpositions(x.n, twins)
+    built = pairgroup._Group(x.n, classes=classes)
+    sifted = pairgroup._Group(x.n, swaps)
     assert built.order == math.prod(math.factorial(len(c)) for c in twins)
     _assert_same_group(built, sifted)
-    assert built.add(extra) and sifted.add(extra)
-    _assert_same_group(built, sifted)
-    assert not built.add(extra)
+    chain = pairgroup._Chain(x.n, swaps)
+    assert chain.add(extra)
+    built = pairgroup._Group(x.n, [extra], classes)
+    _assert_same_group(built, pairgroup._Group(x.n, swaps + [extra]))
+    assert not chain.add(extra)
+    assert pairgroup._Group(x.n, [extra, extra], classes).order == built.order
 
 
 def test_weighted_twin_classes_are_found():
@@ -514,17 +530,23 @@ def test_greedy_generators_beyond_the_scan(n):
     # they generate Aut, of known order
     from paircanon.frame import canonical_form_pruned
 
-    a = n // 3
+    a, k = n // 3, n // 2
+    leaves = k - 1  # of each of two stars, whose centres 0 and k are joined
+    stars = [(0, k)] + [(c, c + i) for c in (0, k) for i in range(1, leaves + 1)]
     cases = [
         (_graph(n, []), math.factorial(n)),
         (_graph(n, [(i, j) for i in range(n) for j in range(i)]), math.factorial(n)),
         (_bipartite(a, n - a), math.factorial(a) * math.factorial(n - a)),
+        # mixed groups: twin classes and automorphisms the search finds
+        (_graph(2 * k, stars), 2 * math.factorial(leaves) ** 2),
+        (_graph(2 * k, [(i, i + k) for i in range(k)]), 2**k * math.factorial(k)),
+        (_bipartite(k, k), 2 * math.factorial(k) ** 2),
     ]
     for x, order in cases:
         result = canonical_form_pruned(x)
         assert result.aut_order == order
         picks = [tuple(v - 1 for v in g.images) for g in result.generators]
         assert picks == sorted(set(picks))
-        group = pairgroup._Chain(n)
+        group = pairgroup._Chain(x.n)
         assert all(group.add(g) for g in picks)
         assert group.order == result.aut_order
