@@ -28,6 +28,7 @@ from .pairgroup import (
     _UNPRINTABLE,
     _check_enumerable,
     _exact,
+    _texts,
 )
 
 EXIT_OK = 0
@@ -43,12 +44,6 @@ def _read_graph(path: str, fmt: str) -> EdgeVector:
 
 def _values(items) -> str:
     return " ".join(map(str, items))
-
-
-def _texts(weights) -> list[str]:
-    """Each weight's text, built once per distinct weight object."""
-    text: dict[int, str] = {}
-    return [text.get(id(w)) or text.setdefault(id(w), str(w)) for w in weights]
 
 
 def _printable(size: int, name: str) -> int:
@@ -173,7 +168,7 @@ def cmd_classify_n4(args: argparse.Namespace) -> int:
 
 
 def cmd_sortframe_demo(args: argparse.Namespace) -> int:
-    from .sortframe import PointVector, elementary_symmetric, sort_frame
+    from .sortframe import PointVector, elementary_values, sort_frame
 
     tokens = args.vector.replace(",", " ").split()
     if not tokens:
@@ -186,9 +181,9 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     ordered, frame = sort_frame(v)
     ordered_text = [str(w) for w in ordered.values]
     elementary = []
-    for k in range(1, v.n + 1):
+    for k, value in enumerate(elementary_values(v.n, v)[1:], start=1):
         try:
-            elementary.append(str(elementary_symmetric(k, v)))
+            elementary.append(str(value))
         except ValueError:  # CPython refuses to print an int this long
             raise ValueError(
                 f"e_{k} of {args.vector!r} has more than {MAX_EXPONENT} digits"

@@ -16,6 +16,7 @@ rule for an exact literal each have one definition in this module.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -196,6 +197,12 @@ def induced_pair_action(sigma: VertexPermutation) -> PairAction:
     return PairAction(sigma)
 
 
+def _texts(values) -> list[str]:
+    """Each value's text, built once per distinct value object."""
+    text: dict[int, str] = {}
+    return [text.get(id(w)) or text.setdefault(id(w), str(w)) for w in values]
+
+
 def _check_enumerable(n: int, max_n: int) -> None:
     if n < 3:
         raise GroupSizeError(f"group enumeration needs n >= 3, got n={n}")
@@ -220,16 +227,22 @@ def _group_table(n: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
     representatives other than the identity are scattered.
     """
     m = n * (n - 1) // 2
-    level = [tuple(range(m))]  # the gathers of S_(n-1), the identity alone
-    for k in reversed(range(n - 1)):
-        takes = []
-        for j in range(k + 1, n):
-            images = (*range(1, k + 1), j + 1, *range(k + 1, j + 1), *range(j + 2, n + 1))
-            takes.append(itemgetter(*_scatter(range(m), _induced_index_map(images, n))))
-        gathers = chain(level, *(map(take, level) for take in takes))
-        # S_0's gathers become getters one by one, so the n! of them never all exist
-        level = list(gathers) if k else starmap(itemgetter, gathers)
-    return tuple(zip(permutations(range(1, n + 1)), level))
+    enabled = gc.isenabled()
+    gc.disable()  # the n! new tuples, none of them garbage, would trigger it again and again
+    try:
+        level = [tuple(range(m))]  # the gathers of S_(n-1), the identity alone
+        for k in reversed(range(n - 1)):
+            takes = []
+            for j in range(k + 1, n):
+                images = (*range(1, k + 1), j + 1, *range(k + 1, j + 1), *range(j + 2, n + 1))
+                takes.append(itemgetter(*_scatter(range(m), _induced_index_map(images, n))))
+            gathers = chain(level, *(map(take, level) for take in takes))
+            # S_0's gathers become getters one by one, so the n! of them never all exist
+            level = list(gathers) if k else starmap(itemgetter, gathers)
+        return tuple(zip(permutations(range(1, n + 1)), level))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def act(action: PairAction, x: EdgeVector) -> EdgeVector:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import index
@@ -24,6 +23,7 @@ from .pairgroup import (
     _exact,
     _group_table,
     _scatter,
+    _texts,
 )
 
 
@@ -138,22 +138,26 @@ class Polynomial:
                 f"dimension mismatch: {len(weights)} values for {self.nvars} variables"
             )
         nums, dens = zip(*(w.as_integer_ratio() for w in weights))
-        total = Fraction(0)
+        # every term p/q * coeff over the lcm of the denominators so far: one Fraction
+        num, den = 0, 1
         for mono, coeff in self.terms.items():
-            num = math.prod(map(pow, nums, mono))
-            if num:
-                total += Fraction(num, math.prod(map(pow, dens, mono))) * coeff
-        return total
+            p = math.prod(map(pow, nums, mono))
+            if p:
+                q = math.prod(map(pow, dens, mono)) * coeff.denominator
+                lcm = math.lcm(den, q)
+                num, den = num * (lcm // den) + p * coeff.numerator * (lcm // q), lcm
+        return Fraction(num, den)
 
     def to_text(self) -> str:
         """One term per line, descending graded-lex, as ``coeff * x<i>^<e> ...``."""
         if not self.terms:
             return "0"
-        lines = []
         # graded lex with x1 > x2 > ...: degree first, then the exponent tuple
-        for mono in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+        monos = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        lines = []
+        for mono, coeff in zip(monos, _texts(map(self.terms.get, monos))):
             factors = " ".join(f"x{i}^{e}" for i, e in enumerate(mono, start=1) if e)
-            lines.append(f"{self.terms[mono]} * {factors or '1'}")
+            lines.append(f"{coeff} * {factors or '1'}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -165,6 +169,9 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
 
     The average is fixed by every relabeling, acts as the identity on
     polynomials that are already invariant, and is therefore a projector.
+    By orbit-stabilizer each of the |orbit| images of a monomial is hit
+    n!/|orbit| times, so the monomial averages to its orbit sum times
+    coeff/|orbit|; images shared by several monomials add up.
     """
     m = n * (n - 1) // 2
     if f.nvars != m:
@@ -172,10 +179,11 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
     _check_enumerable(n, max_n)
     acc: dict[tuple[int, ...], Fraction] = {}
     for mono, coeff in f.terms.items():
-        for image, count in Counter(take(mono) for _, take in _group_table(n)).items():
-            acc[image] = acc.get(image, Fraction(0)) + coeff * count
-    scale = Fraction(1, math.factorial(n))
-    return Polynomial._from_exact(m, {mono: coeff * scale for mono, coeff in acc.items()})
+        orbit = {take(mono) for _, take in _group_table(n)}
+        share = coeff / len(orbit)
+        for image in orbit:
+            acc[image] = acc[image] + share if image in acc else share
+    return Polynomial._from_exact(m, acc)
 
 
 def n4_generating_set() -> list[Polynomial]:

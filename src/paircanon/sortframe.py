@@ -55,16 +55,21 @@ def order_statistics(v: PointVector) -> PointVector:
     return sort_frame(v)[0]
 
 
-def elementary_symmetric(k: int, v: PointVector) -> Fraction:
-    """Sum of all k-fold products of distinct entries of v.
+def elementary_values(k: int, v: PointVector) -> list[Fraction]:
+    """``[e_0, ..., e_k]``, e_j the sum of all j-fold products of distinct entries.
 
-    Computed in O(n*k) steps by the product recurrence: after the first i
-    entries, ``e[j]`` is the j-th elementary symmetric value of those entries.
+    One product recurrence, O(n*k) steps: after the first i entries, ``e[j]``
+    is the j-th elementary symmetric value of those entries, so only j <= i moves.
     """
     if not 1 <= k <= v.n:
         raise ValueError(f"need 1 <= k <= {v.n}, got k={k}")
     e = [Fraction(1)] + [Fraction(0)] * k
-    for value in v.values:
-        for j in range(k, 0, -1):
+    for i, value in enumerate(v.values, start=1):
+        for j in range(min(i, k), 0, -1):
             e[j] += e[j - 1] * value
-    return e[k]
+    return e
+
+
+def elementary_symmetric(k: int, v: PointVector) -> Fraction:
+    """Sum of all k-fold products of distinct entries of v."""
+    return elementary_values(k, v)[k]

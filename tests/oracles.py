@@ -12,7 +12,8 @@ edge-list parser written line by line, :func:`exact_by_fraction`, the rule
 for an exact literal with every string going through ``Fraction(str)``,
 :func:`emit_weighted_by_pair`, the edge-list writer written pair by pair, and
 :func:`evaluate_by_term`, a polynomial's value from its terms in ``Fraction``
-arithmetic.
+arithmetic, and :func:`elementary_symmetric_per_k`, one e_k by its own pass of
+the product recurrence.
 """
 
 from __future__ import annotations
@@ -183,6 +184,15 @@ def elementary_symmetric_by_subsets(k, values):
             term *= value
         total += term
     return total
+
+
+def elementary_symmetric_per_k(k, values):
+    """e_k by a product recurrence of its own over all n entries: O(n*k) per k."""
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for value in values:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * value
+    return e[k]
 
 
 def frame_coset_check(x: EdgeVector, action: PairAction) -> bool:

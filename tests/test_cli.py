@@ -22,6 +22,8 @@ from paircanon.pairgroup import (
     induced_pair_action,
 )
 
+from oracles import elementary_symmetric_per_k
+
 P4_TEXT = "n 4\n1 2 1\n2 3 1\n3 4 1\n"
 P4 = EdgeVector(4, (1, 0, 0, 1, 0, 1))
 STAR_TEXT = "n 4\n1 2 1\n1 3 1\n1 4 1\n"
@@ -257,6 +259,17 @@ def test_sortframe_demo_rationals(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "sorted 1/4 1/2"
     assert lines[1] == "frame 2 1"
+
+
+def test_sortframe_demo_matches_the_per_k_recurrence(capsys):
+    # the one pass over e_0..e_n prints what n passes, one per e_k, print
+    values = [Fraction((i * 37) % 101 - 50, i % 9 + 1) for i in range(1, 61)]
+    vector = ",".join(map(str, values))
+    expected = [str(elementary_symmetric_per_k(k, values)) for k in range(1, 61)]
+    assert main(["sortframe-demo", "--", vector]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == f"e {' '.join(expected)}"
+    assert main(["sortframe-demo", "--json", "--", vector]) == 0
+    assert json.loads(capsys.readouterr().out)["elementary"] == expected
 
 
 def test_sortframe_demo_bad_literal(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -143,9 +144,14 @@ def test_reynolds_equals_average_of_applied_actions(n):
     rng = random.Random(101 + n)
     m = n * (n - 1) // 2
     group = all_actions(n)
+    pad = (0,) * (m - 2)
     # x1 - x2 averages to zero: x1 and x2 lie in one orbit
-    cancelling = Polynomial(m, {(1, 0) + (0,) * (m - 2): 1, (0, 1) + (0,) * (m - 2): -1})
-    for f in [cancelling] + [random_polynomial(rng, m) for _ in range(4)]:
+    cancelling = Polynomial(m, {(1, 0) + pad: 1, (0, 1) + pad: -1})
+    # x1^2 x2 and x1 x2^2 share one orbit (swap 2 and 3) of n(n-1)(n-2) images,
+    # so their coprime coefficients add on every image; x1 x_m lies elsewhere
+    shared = Polynomial(m, {(2, 1) + pad: Fraction(1, 3), (1, 2) + pad: Fraction(1, 5)})
+    mixed = shared + Polynomial(m, {(1,) + pad + (1,): Fraction(-3, 11), (0,) * m: 5})
+    for f in [cancelling, shared, mixed] + [random_polynomial(rng, m) for _ in range(4)]:
         total = {}
         for tau in group:
             for key, c in f.apply(tau).terms.items():
@@ -153,6 +159,25 @@ def test_reynolds_equals_average_of_applied_actions(n):
         expected = {key: c / len(group) for key, c in total.items() if c}
         assert reynolds(f, n).terms == expected
     assert reynolds(cancelling, n).terms == {}
+    assert set(reynolds(shared, n).terms.values()) == {Fraction(8, 15) / (n * (n - 1) * (n - 2))}
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_reynolds_of_a_monomial_is_its_orbit_over_the_orbit_size(n):
+    # orbit-stabilizer: each of the |orbit| images is hit n!/|orbit| times
+    rng = random.Random(131 + n)
+    m = n * (n - 1) // 2
+    group = all_actions(n)
+    for _ in range(4):
+        exponents = [0] * m
+        for _ in range(rng.randrange(1, 5)):
+            exponents[rng.randrange(m)] += 1
+        f = Polynomial.monomial(exponents)
+        orbit = reynolds(f, n).terms
+        assert set(orbit.values()) == {Fraction(1, len(orbit))}
+        stabilizer = sum(f.apply(tau) == f for tau in group)
+        assert len(orbit) * stabilizer == len(group)
+        assert set(orbit) == {next(iter(f.apply(tau).terms)) for tau in group}
 
 
 def test_apply_matches_action_on_evaluations():
@@ -239,6 +264,24 @@ def test_evaluate_matches_term_by_term_reference():
         x = EdgeVector(n, random_rational_weights(rng, n * (n - 1) // 2))
         f = random_polynomial(rng, len(x.weights), terms=6, degree=5)
         assert f.evaluate(x) == evaluate_by_term(f, x.weights)
+
+
+def test_evaluate_over_one_denominator_matches_term_by_term():
+    # pairwise coprime denominators, negative values, zeros and exponents up to 5
+    rng = random.Random(137)
+    primes = (1, 2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for nvars in (1, 2, 4, 6):
+        for _ in range(30):
+            terms = {}
+            for _ in range(rng.randrange(1, 7)):
+                mono = tuple(rng.randrange(6) if rng.random() < 0.6 else 0 for _ in range(nvars))
+                terms[mono] = Fraction(rng.randrange(-20, 21) or 1, rng.choice(primes))
+            f = Polynomial(nvars, terms)
+            point = [Fraction(rng.randrange(-7, 8), rng.choice(primes)) for _ in range(nvars)]
+            value = f.evaluate(point)
+            assert type(value) is Fraction and value == evaluate_by_term(f, point)
+            assert value.denominator > 0
+            assert math.gcd(value.numerator, value.denominator) == 1
 
 
 def test_evaluate_dimension_mismatch():

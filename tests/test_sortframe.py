@@ -9,6 +9,7 @@ from paircanon.pairgroup import VertexPermutation
 from paircanon.sortframe import (
     PointVector,
     elementary_symmetric,
+    elementary_values,
     order_statistics,
     permute_point,
     sort_frame,
@@ -105,6 +106,29 @@ def test_elementary_symmetric_matches_subset_sums():
                 assert elementary_symmetric(k, v) == elementary_symmetric_by_subsets(
                     k, v.values
                 )
+
+
+def test_elementary_values_match_subset_sums():
+    # one pass gives every e_j, j <= k; zeros, negatives and coprime denominators
+    rng = random.Random(127)
+    for n in range(1, 13):
+        values = tuple(
+            Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5, 7, 11))) for _ in range(n)
+        )
+        v = PointVector(values)
+        expected = [elementary_symmetric_by_subsets(j, values) for j in range(n + 1)]
+        assert elementary_values(n, v) == expected
+        k = rng.randrange(1, n + 1)
+        assert elementary_values(k, v) == expected[: k + 1]
+        assert all(type(e) is Fraction for e in elementary_values(n, v))
+
+
+def test_elementary_values_range_errors():
+    v = pv(1, 2, 3)
+    assert elementary_values(1, v) == [1, 6]
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            elementary_values(k, v)
 
 
 def test_elementary_symmetric_of_forty_ones_is_binomial():
