@@ -150,7 +150,7 @@ def cmd_classify_n4(args: argparse.Namespace) -> int:
     classes = classify_simple_graphs_n4()
     rows = []
     for key, members in classes.items():
-        representative = canonical_form(members[0]).canonical
+        representative = min(members, key=lambda x: x.weights)  # a class is one orbit
         rows.append((representative.weights, key, emit_graph6(representative), len(members)))
     rows.sort(key=lambda row: row[0])
     numbered = list(enumerate(rows, start=1))

@@ -218,14 +218,27 @@ def simple_graph_invariants() -> list[Polynomial]:
 
 
 def classify_simple_graphs_n4() -> dict[tuple[Fraction, ...], list[EdgeVector]]:
-    """Partition all 64 simple 4-vertex graphs by their 4-invariant value tuple."""
-    invariants = simple_graph_invariants()
-    classes: dict[tuple[Fraction, ...], list[EdgeVector]] = {}
-    for bits in product((Fraction(0), Fraction(1)), repeat=6):
-        x = EdgeVector(4, bits)
-        key = tuple(f.evaluate(x) for f in invariants)
-        classes.setdefault(key, []).append(x)
-    return classes
+    """Partition all 64 simple 4-vertex graphs by their 4-invariant value tuple.
+
+    At a 0/1 point a monomial is 1 when its support is a set of edges and 0
+    otherwise, so each value is the sum of the coefficients whose support
+    mask lies inside the graph's edge mask: an integer over the lcm of the
+    invariant's denominators.  The graphs come in ``product`` order, so a
+    graph's index is its edge mask, with position s in bit 5 - s.
+    """
+    dens, sums = [], []
+    for f in simple_graph_invariants():
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        dens.append(den)
+        sums.append([
+            (sum(1 << 5 - s for s, e in enumerate(mono) if e), c.numerator * den // c.denominator)
+            for mono, c in f.terms.items()
+        ])
+    groups: dict[tuple[int, ...], list[EdgeVector]] = {}
+    for edges, bits in enumerate(product((Fraction(0), Fraction(1)), repeat=6)):
+        key = tuple(sum(c for m, c in terms if m & edges == m) for terms in sums)
+        groups.setdefault(key, []).append(EdgeVector._from_exact(4, bits))
+    return {tuple(map(Fraction, key, dens)): members for key, members in groups.items()}
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

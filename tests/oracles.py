@@ -10,17 +10,19 @@ frame's defining property in terms of the package's own canonizer and actions,
 on the package's vertex permutations, :func:`parse_weighted_by_line`, the
 edge-list parser written line by line, :func:`exact_by_fraction`, the rule
 for an exact literal with every string going through ``Fraction(str)``,
-:func:`emit_weighted_by_pair`, the edge-list writer written pair by pair, and
+:func:`emit_weighted_by_pair`, the edge-list writer written pair by pair,
 :func:`evaluate_by_term`, a polynomial's value from its terms in ``Fraction``
-arithmetic, and :func:`elementary_symmetric_per_k`, one e_k by its own pass of
-the product recurrence.
+arithmetic, :func:`elementary_symmetric_per_k`, one e_k by its own pass of
+the product recurrence, and :func:`classify_by_evaluate`, the simple 4-vertex
+graphs grouped by :meth:`paircanon.polyinv.Polynomial.evaluate` of each
+invariant.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from paircanon.frame import canonical_form_pruned
 from paircanon.graphio import ParseError
@@ -31,6 +33,7 @@ from paircanon.pairgroup import (
     act,
     induced_pair_action,
 )
+from paircanon.polyinv import simple_graph_invariants
 
 
 def zero_vector(n):
@@ -347,3 +350,16 @@ def evaluate_by_term(f, values):
             term *= Fraction(v) ** e
         total += term
     return total
+
+
+def classify_by_evaluate():
+    """The 64 simple 4-vertex graphs, in ``product`` order, grouped by the
+    tuple of their general-point values of the four simple-graph invariants:
+    the reference for :func:`paircanon.polyinv.classify_simple_graphs_n4`."""
+    invariants = simple_graph_invariants()
+    classes = {}
+    for bits in product((Fraction(0), Fraction(1)), repeat=6):
+        x = EdgeVector(4, bits)
+        key = tuple(f.evaluate(x) for f in invariants)
+        classes.setdefault(key, []).append(x)
+    return classes

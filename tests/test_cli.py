@@ -21,6 +21,7 @@ from paircanon.pairgroup import (
     act,
     induced_pair_action,
 )
+from paircanon.polyinv import classify_simple_graphs_n4
 
 from oracles import elementary_symmetric_per_k
 
@@ -207,6 +208,53 @@ def test_reynolds_far_over_limit_exits_3_before_allocating(capsys):
 
 
 # ------------------------------------------------------------ classify-n4
+
+# the output pinned byte for byte: class order, invariant values, graph6 of
+# each representative and orbit sizes
+CLASSIFY_N4_TEXT = """\
+1 0 0 0 0 C? 1
+2 1/6 0 0 0 C@ 6
+3 1/3 0 1/12 0 CB 12
+4 1/2 0 1/4 0 CJ 4
+5 1/2 0 1/4 1/4 CF 4
+6 1/3 1/3 0 0 CK 3
+7 1/2 1/3 1/6 0 CL 12
+8 2/3 1/3 5/12 1/4 CN 12
+9 2/3 2/3 1/3 0 C] 3
+10 5/6 2/3 2/3 1/2 C^ 6
+11 1 1 1 1 C~ 1
+"""
+
+CLASSIFY_N4_JSON = (
+    '{"classes": [{"id": 1, "invariants": ["0", "0", "0", "0"], "graph6": "C?", "orbit_size": 1}, '
+    '{"id": 2, "invariants": ["1/6", "0", "0", "0"], "graph6": "C@", "orbit_size": 6}, '
+    '{"id": 3, "invariants": ["1/3", "0", "1/12", "0"], "graph6": "CB", "orbit_size": 12}, '
+    '{"id": 4, "invariants": ["1/2", "0", "1/4", "0"], "graph6": "CJ", "orbit_size": 4}, '
+    '{"id": 5, "invariants": ["1/2", "0", "1/4", "1/4"], "graph6": "CF", "orbit_size": 4}, '
+    '{"id": 6, "invariants": ["1/3", "1/3", "0", "0"], "graph6": "CK", "orbit_size": 3}, '
+    '{"id": 7, "invariants": ["1/2", "1/3", "1/6", "0"], "graph6": "CL", "orbit_size": 12}, '
+    '{"id": 8, "invariants": ["2/3", "1/3", "5/12", "1/4"], "graph6": "CN", "orbit_size": 12}, '
+    '{"id": 9, "invariants": ["2/3", "2/3", "1/3", "0"], "graph6": "C]", "orbit_size": 3}, '
+    '{"id": 10, "invariants": ["5/6", "2/3", "2/3", "1/2"], "graph6": "C^", "orbit_size": 6}, '
+    '{"id": 11, "invariants": ["1", "1", "1", "1"], "graph6": "C~", "orbit_size": 1}]}'
+    "\n"
+)
+
+
+def test_classify_n4_golden(capsys):
+    assert main(["classify-n4"]) == 0
+    assert capsys.readouterr().out == CLASSIFY_N4_TEXT
+    assert main(["classify-n4", "--json"]) == 0
+    assert capsys.readouterr().out == CLASSIFY_N4_JSON
+
+
+def test_classify_n4_representative_is_every_members_canonical_form():
+    # the representative is the least member, which is the canonical form
+    # only if each class is one orbit: every member canonizes to it
+    for members in classify_simple_graphs_n4().values():
+        least = min(members, key=lambda x: x.weights)
+        for x in members:
+            assert canonical_form_pruned(x).canonical == least
 
 
 def test_classify_n4(capsys):

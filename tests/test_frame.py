@@ -239,6 +239,58 @@ def test_pruned_agrees_with_bruteforce_on_perturbed_twins(n):
             assert pruned.automorphisms == brute.automorphisms
 
 
+
+def _mixed_twin_graphs(rng):
+    """Seeded twin graphs on 6 to 8 vertices whose Aut also moves classes.
+
+    Two joined stars of three leaves, with one leaf of each star re-weighted
+    alike or one weight between a leaf of each star changed, and K_a,a,
+    a = 3 or 4, with one cross weight changed: a swap of the two sides
+    survives and exchanges twin classes.  K_3,3 also comes with a seventh
+    vertex joined to all the others, which keeps the swap.
+    """
+    values = [Fraction(1, 2), Fraction(5, 2), Fraction(-3, 2), 2]
+    graphs = []
+    for family, size, apex in (("stars", 3, 0), ("Kaa", 3, 0), ("Kaa", 3, 1), ("Kaa", 4, 0)):
+        n = 2 * size + (2 if family == "stars" else apex)
+        for _ in range(4):
+            leaf, hub, cut = rng.sample(values, 3)
+            W = {}
+            if family == "stars":  # centres 0 and 4, leaves 1..3 and 5..7
+                W[0, 4] = hub
+                for c in (0, 4):
+                    for i in (1, 2, 3):
+                        W[c, c + i] = leaf
+                if rng.randrange(2):
+                    a = rng.randrange(1, 4)
+                    W[0, a] = W[4, 4 + a] = cut
+                else:
+                    W[rng.randrange(1, 4), rng.randrange(5, 8)] = cut
+            else:  # sides 0..size-1 and size..2*size-1
+                for i in range(size):
+                    for j in range(size, 2 * size):
+                        W[i, j] = leaf
+                W[rng.randrange(size), rng.randrange(size, 2 * size)] = cut
+                if apex:
+                    for i in range(n - 1):
+                        W[i, n - 1] = hub
+            graphs.append(EdgeVector(n, tuple(W.get((i - 1, j - 1), 0) for i, j in lex_pairs(n))))
+    return graphs
+
+
+def test_pruned_agrees_with_bruteforce_on_perturbed_twins_with_class_swaps():
+    # the groups mix twin classes with an automorphism the search must find
+    # that exchanges classes: Aut is larger than the classes' product
+    for x in _mixed_twin_graphs(random.Random(97)):
+        classes = twin_classes(x.n, x.weights)
+        pruned, brute = canonical_form_pruned(x), canonical_form_bruteforce(x)
+        assert classes and brute.aut_order > math.prod(math.factorial(len(c)) for c in classes)
+        assert pruned.canonical == brute.canonical and pruned.frame == brute.frame, x
+        assert pruned.aut_order == brute.aut_order
+        assert pruned.generators == brute.generators
+        if x.n <= 7:
+            assert pruned.automorphisms == brute.automorphisms
+
 def _root_twin_classes(x):
     """``_twin_classes`` on the matrix and the root's child rows of the search."""
     n = x.n

@@ -23,6 +23,7 @@ from paircanon.polyinv import (
 
 from oracles import (
     all_actions,
+    classify_by_evaluate,
     evaluate_by_term,
     random_permutation,
     random_rational_weights,
@@ -299,6 +300,16 @@ def test_classify_eleven_classes_summing_to_64():
     assert sum(sizes) == 64
     # frozen from brute-force orbit enumeration over all 64 vectors
     assert sizes == [1, 1, 3, 3, 4, 4, 6, 6, 12, 12, 12]
+
+
+def test_classify_matches_evaluate_per_graph():
+    # the same keys and members, both in the same order, as evaluating every
+    # invariant at every graph
+    classes, expected = classify_simple_graphs_n4(), classify_by_evaluate()
+    assert list(classes) == list(expected)
+    for key in classes:
+        assert type(key) is tuple and all(type(v) is Fraction for v in key)
+        assert classes[key] == expected[key]
 
 
 def test_classification_matches_canonical_partition():
