@@ -62,14 +62,14 @@ def _emit(
     print(json.dumps(payload()) if args.json else "\n".join(lines()))
 
 
-def _canonize(args: argparse.Namespace) -> tuple[EdgeVector, CanonResult]:
-    """Read the input graph and canonize it with the requested engine."""
+def _canonize(args: argparse.Namespace, **options) -> tuple[EdgeVector, CanonResult]:
+    """Read the input graph and canonize it with the given ``canonical_form`` options."""
     x = _read_graph(args.input, args.format)
-    return x, canonical_form(x, engine=args.engine, max_n=args.max_n)
+    return x, canonical_form(x, **options)
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
-    x, result = _canonize(args)
+    x, result = _canonize(args, engine=args.engine, max_n=args.max_n)
     order = _printable(result.aut_order, "the automorphism group's order")
     canonical = _texts(result.canonical.weights)
     generators = [g.images for g in result.generators]
@@ -95,7 +95,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
 def cmd_iso(args: argparse.Namespace) -> int:
     x = _read_graph(args.a, args.format)
     y = _read_graph(args.b, args.format)
-    found, witness = is_isomorphic(x, y, engine=args.engine, max_n=args.max_n)
+    found, witness = is_isomorphic(x, y)
     if found:
         images = witness.images
         text = f"isomorphic {_values(images)}"
@@ -106,7 +106,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
-    x, result = _canonize(args)
+    x, result = _canonize(args, max_n=args.max_n)
     automorphisms = sorted(p.images for p in result.automorphisms)
     _emit(
         args,
@@ -200,25 +200,51 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_INPUT = ("input", "input path, or - for stdin")
+#: every option and positional argument of a subcommand, with its ``add_argument`` keywords
+_ARGUMENTS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--format": dict(
+        choices=("weighted", "graph6"), default="weighted", help="input format (default: weighted)"
+    ),
+    "--engine": dict(
+        choices=("brute", "pruned"), default="pruned", help="canonizer engine (default: pruned)"
+    ),
+    "--max-n": dict(
+        type=int,
+        default=DEFAULT_MAX_N,
+        dest="max_n",
+        help=f"limit for full group enumeration (default: {DEFAULT_MAX_N})",
+    ),
+    "input": dict(help="input path, or - for stdin"),
+    "a": dict(help="first input path, or - for stdin"),
+    "b": dict(help="second input path"),
+    "monomial": dict(help="power product, e.g. 'x1^2*x2' or 'x1 x6'"),
+    "n": dict(type=int, help="vertex count"),
+    "vector": dict(help="rational entries, e.g. '3,1,2' or '1/2 0.25 -1'"),
+}
 
-#: subcommands that read graphs: name, handler, help, positional arguments
-_GRAPH_COMMANDS = (
+#: each subcommand: name, handler, its arguments in ``_ARGUMENTS``, help.  Only
+#: ``canon`` takes ``--engine``, since both engines print the same answer, and
+#: ``--max-n`` goes only where a whole group is enumerated.
+_COMMANDS = (
     (
         "canon",
         cmd_canon,
+        "--json --format --engine --max-n input",
         "canonical vector, frame permutation, automorphism group",
-        (_INPUT,),
     ),
+    ("iso", cmd_iso, "--json --format a b", "isomorphism test with witness relabeling"),
+    ("aut", cmd_aut, "--json --format --max-n input", "list all automorphisms"),
+    ("orbit", cmd_orbit, "--json --format input", "orbit size under relabeling"),
+    ("invariants", cmd_invariants, "--json --format input", "invariant coordinates I_1..I_m"),
+    ("reynolds", cmd_reynolds, "--json --max-n monomial n", "group average of a monomial"),
+    ("classify-n4", cmd_classify_n4, "--json", "the 11 simple-graph classes on 4 vertices"),
     (
-        "iso",
-        cmd_iso,
-        "isomorphism test with witness relabeling",
-        (("a", "first input path, or - for stdin"), ("b", "second input path")),
+        "sortframe-demo",
+        cmd_sortframe_demo,
+        "--json vector",
+        "sort a vector: sorted entries, frame, elementary symmetric values",
     ),
-    ("aut", cmd_aut, "list all automorphisms", (_INPUT,)),
-    ("orbit", cmd_orbit, "orbit size under relabeling", (_INPUT,)),
-    ("invariants", cmd_invariants, "invariant coordinates I_1..I_m", (_INPUT,)),
 )
 
 
@@ -231,61 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         "weighted graphs under vertex relabeling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    out_opts = argparse.ArgumentParser(add_help=False)
-    out_opts.add_argument("--json", action="store_true", help="machine-readable output")
-    format_opts = argparse.ArgumentParser(add_help=False)
-    format_opts.add_argument(
-        "--format",
-        choices=("weighted", "graph6"),
-        default="weighted",
-        help="input format (default: weighted)",
-    )
-    engine_opts = argparse.ArgumentParser(add_help=False)
-    engine_opts.add_argument(
-        "--engine",
-        choices=("brute", "pruned"),
-        default="pruned",
-        help="canonizer engine (default: pruned)",
-    )
-    max_n_opts = argparse.ArgumentParser(add_help=False)
-    max_n_opts.add_argument(
-        "--max-n",
-        type=int,
-        default=DEFAULT_MAX_N,
-        dest="max_n",
-        help=f"limit for full group enumeration (default: {DEFAULT_MAX_N})",
-    )
-    graph_opts = [out_opts, format_opts, engine_opts, max_n_opts]
-
-    for name, func, help_text, positionals in _GRAPH_COMMANDS:
-        p = sub.add_parser(name, parents=graph_opts, help=help_text)
-        for dest, arg_help in positionals:
-            p.add_argument(dest, help=arg_help)
+    for name, func, arguments, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments.split():
+            p.add_argument(argument, **_ARGUMENTS[argument])
         p.set_defaults(func=func)
-
-    p = sub.add_parser(
-        "reynolds", parents=[out_opts, max_n_opts], help="group average of a monomial"
-    )
-    p.add_argument("monomial", help="power product, e.g. 'x1^2*x2' or 'x1 x6'")
-    p.add_argument("n", type=int, help="vertex count")
-    p.set_defaults(func=cmd_reynolds)
-
-    p = sub.add_parser(
-        "classify-n4",
-        parents=[out_opts],
-        help="the 11 simple-graph classes on 4 vertices",
-    )
-    p.set_defaults(func=cmd_classify_n4)
-
-    p = sub.add_parser(
-        "sortframe-demo",
-        parents=[out_opts],
-        help="sort a vector: sorted entries, frame, elementary symmetric values",
-    )
-    p.add_argument("vector", help="rational entries, e.g. '3,1,2' or '1/2 0.25 -1'")
-    p.set_defaults(func=cmd_sortframe_demo)
-
     return parser
 
 

@@ -342,12 +342,7 @@ def canonical_form(
     raise ValueError(f"unknown engine: {engine!r}")
 
 
-def is_isomorphic(
-    x: EdgeVector,
-    y: EdgeVector,
-    engine: str = "pruned",
-    max_n: int = DEFAULT_MAX_N,
-) -> tuple[bool, VertexPermutation | None]:
+def is_isomorphic(x: EdgeVector, y: EdgeVector) -> tuple[bool, VertexPermutation | None]:
     """Decide whether y is a relabeling of x.
 
     On success also returns a witness: a vertex permutation whose induced
@@ -355,8 +350,8 @@ def is_isomorphic(
     """
     if x.n != y.n:
         raise ValueError(f"vertex count mismatch: {x.n} vs {y.n}")
-    rx = canonical_form(x, engine=engine, max_n=max_n)
-    ry = canonical_form(y, engine=engine, max_n=max_n)
+    rx = canonical_form_pruned(x)
+    ry = canonical_form_pruned(y)
     if rx.canonical != ry.canonical:
         return False, None
     return True, ry.frame.inverse().compose(rx.frame)

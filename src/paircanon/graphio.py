@@ -7,7 +7,8 @@ exactly, each distinct literal once per parse) read by the one rule of
 ``pairgroup._exact``, which reads integers and ``p/q`` of up to 4300
 characters with ``int()``, refuses a decimal exponent beyond +-4300 and a
 value CPython cannot print.  graph6 is supported bit-exactly for simple
-graphs so output can be exchanged with the usual canonical-labeling tools.
+graphs up to the same MAX_VERTICES, so output can be exchanged with the
+usual canonical-labeling tools.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ def parse_graph6(text: str) -> EdgeVector:
     n, consumed = _decode_g6_size(data)
     if n < 3:
         raise ParseError(f"need at least 3 vertices, got {n}")
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     m = n * (n - 1) // 2
     body = data[consumed:]
     need = (m + 5) // 6

@@ -104,10 +104,10 @@ class VertexPermutation:
         """self after other: i goes to ``self.images[other.images[i-1] - 1]``."""
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return VertexPermutation(tuple(self.images[v - 1] for v in other.images))
+        return VertexPermutation._from_images(tuple(self.images[v - 1] for v in other.images))
 
     def inverse(self) -> VertexPermutation:
-        return VertexPermutation(_scatter(range(1, self.n + 1), self.images))
+        return VertexPermutation._from_images(_scatter(range(1, self.n + 1), self.images))
 
 
 @dataclass(frozen=True)

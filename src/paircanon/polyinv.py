@@ -137,16 +137,8 @@ class Polynomial:
             raise ValueError(
                 f"dimension mismatch: {len(weights)} values for {self.nvars} variables"
             )
-        nums, dens = zip(*(w.as_integer_ratio() for w in weights))
-        # every term p/q * coeff over the lcm of the denominators so far: one Fraction
-        num, den = 0, 1
-        for mono, coeff in self.terms.items():
-            p = math.prod(map(pow, nums, mono))
-            if p:
-                q = math.prod(map(pow, dens, mono)) * coeff.denominator
-                lcm = math.lcm(den, q)
-                num, den = num * (lcm // den) + p * coeff.numerator * (lcm // q), lcm
-        return Fraction(num, den)
+        terms = (coeff * math.prod(map(pow, weights, mono)) for mono, coeff in self.terms.items())
+        return sum(terms, Fraction(0))
 
     def to_text(self) -> str:
         """One term per line, descending graded-lex, as ``coeff * x<i>^<e> ...``."""

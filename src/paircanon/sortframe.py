@@ -47,7 +47,7 @@ def sort_frame(v: PointVector) -> tuple[PointVector, VertexPermutation]:
     """
     ranked = sorted(range(1, v.n + 1), key=lambda i: (v.values[i - 1], i))
     ordered = PointVector(tuple(v.values[i - 1] for i in ranked))
-    return ordered, VertexPermutation(_scatter(range(1, v.n + 1), ranked))
+    return ordered, VertexPermutation._from_images(_scatter(range(1, v.n + 1), ranked))
 
 
 def order_statistics(v: PointVector) -> PointVector:

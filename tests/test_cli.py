@@ -144,6 +144,17 @@ def test_aut_over_the_enumeration_limit_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "max_n=8" in captured.err
 
 
+def test_aut_max_n_sets_the_enumeration_limit(p4_file, tmp_path, capsys):
+    # |Aut(P4)| = 2 <= 3!, so it is listed; |Aut(K4)| = 24 > 2!, so it is not
+    assert main(["aut", "--max-n", "3", p4_file]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1 2 3 4", "4 3 2 1"]
+    k4 = write(tmp_path, "k4.txt", "n 4\n1 2 1\n1 3 1\n1 4 1\n2 3 1\n2 4 1\n3 4 1\n")
+    assert main(["aut", "--max-n", "2", k4]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "max_n=2" in captured.err
+
+
 def test_aut_lists_the_cycle_on_12_vertices(tmp_path, capsys):
     text = "n 12\n1 12 1\n" + "".join(f"{i} {i + 1} 1\n" for i in range(1, 12))
     assert main(["aut", write(tmp_path, "c12.txt", text)]) == 0
@@ -280,14 +291,21 @@ def test_classify_n4_json(capsys):
     assert sum(c["orbit_size"] for c in payload["classes"]) == 64
 
 
-def test_classify_n4_takes_no_engine(capsys):
-    # both engines give the same classes, so the option is gone: a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["classify-n4", "--engine", "brute"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --engine brute" in captured.err
+def test_classify_n4_takes_no_engine(p4_file, capsys):
+    # both engines give the same answer, and only aut lists a whole group, so
+    # these commands take no such option: passing one is a usage error
+    removed = [("classify-n4", [], "--engine brute")]
+    removed += [("iso", [p4_file, p4_file], "--engine brute")]
+    removed += [(command, [p4_file], "--engine brute") for command in ("aut", "orbit", "invariants")]
+    removed += [("iso", [p4_file, p4_file], "--max-n 9")]
+    removed += [(command, [p4_file], "--max-n 9") for command in ("orbit", "invariants")]
+    for command, inputs, option in removed:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, *option.split()])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
 
 
 # --------------------------------------------------------- sortframe-demo
@@ -433,10 +451,15 @@ def test_resource_errors_end_in_one_error_line(p4_file, capsys, monkeypatch, exc
     assert captured.err == f"error: {message}\n"
 
 
-def test_size_limit_exit_3(tmp_path, capsys):
+def test_size_limit_exit_3(tmp_path, p4_file, capsys):
     path = write(tmp_path, "big.txt", "n 9\n1 2 1\n")
     assert main(["canon", "--engine", "brute", path]) == 3
     assert "max_n" in capsys.readouterr().err
+    # brute force on P4 under a lowered limit
+    assert main(["canon", "--engine", "brute", "--max-n", "3", p4_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "max_n=3" in captured.err
 
 
 def test_brute_size_limit_exit_3_for_huge_n(tmp_path, capsys):
@@ -459,7 +482,7 @@ def test_sizes_beyond_4300_digits_exit_3(tmp_path, capsys, monkeypatch, command,
     n = 1600
     zeros = EdgeVector._from_exact(n, (Fraction(0),) * (n * (n - 1) // 2))
     result = CanonResult(zeros, VertexPermutation.identity(n), group)
-    monkeypatch.setattr("paircanon.cli.canonical_form", lambda x, engine, max_n: result)
+    monkeypatch.setattr("paircanon.cli.canonical_form", lambda x, **options: result)
     assert main([command, "--json", write(tmp_path, "g.txt", f"n {n}\n")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -232,6 +232,16 @@ def test_parse_graph6_malformed():
     assert parse_graph6("B?") == zero_vector(3)  # smallest accepted size
 
 
+def test_parse_graph6_refuses_a_vertex_count_over_the_limit():
+    # "~?mx" is the size field of n = 3001 with no data bytes: the limit is
+    # named before the length of the C(n,2) bits is checked
+    with pytest.raises(ParseError) as err:
+        parse_graph6("~?mx")
+    assert str(err.value) == f"vertex count 3001 exceeds the limit of {MAX_VERTICES}"
+    with pytest.raises(ParseError, match="^length mismatch: n=3000 needs"):
+        parse_graph6("~?mw")
+
+
 def test_parse_graph6_nonzero_padding():
     # n=4 has m=6 so there are no padding bits; n=5 has m=10, 2 padding bits
     good = emit_graph6(zero_vector(5))
