@@ -27,7 +27,6 @@ from .pairgroup import (
     GroupSizeError,
     _UNPRINTABLE,
     _check_enumerable,
-    _exact,
     _texts,
 )
 
@@ -174,10 +173,9 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
     if not tokens:
         raise ValueError("empty vector")
     try:
-        values = tuple(map(_exact, tokens))
+        v = PointVector(tokens)
     except ValueError:
         raise ValueError(f"bad rational literal in vector: {args.vector!r}") from None
-    v = PointVector(values)
     ordered, frame = sort_frame(v)
     ordered_text = [str(w) for w in ordered.values]
     elementary = []

@@ -182,17 +182,16 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     g-image of one already searched.  Each depth keeps one record for the
     current parent: how many automorphisms it has examined, those among them
     that fix the labelled prefix, and the explored children closed under
-    those, which are skipped.  The root finds the twin classes from the rows
-    of its children.  Unlabelled twins share a cell and give equal rows, so
-    below the root a node builds one child per class, and an explored child
-    marks its class seen, closed under the fixing automorphisms, which map
-    classes onto classes.  Twins also have equal weights among themselves, so
-    below the root a partition whose every cell is one vertex or twins of one
-    class is a leaf: each completion gives the same rows.  It takes the one
-    the single path beneath it would give, each cell's largest member first.
-    The classes' symmetric groups and the automorphisms found generate Aut.
-    The search runs on the integer ranks of the weights, with an explicit
-    stack.
+    those, which are skipped.  Twins, found from the rank matrix first, share
+    a cell while unlabelled and give equal rows, so a node builds one child per
+    class, and an explored child marks its class seen, closed under the fixing
+    automorphisms, which map classes onto classes.  A partition whose every
+    cell is one vertex or twins of one class, the root included, is a leaf:
+    twins have equal weights among themselves, so each completion gives the
+    same rows.  It takes the one the single path beneath it would give, each
+    cell's largest member first.  The classes' symmetric groups and the
+    automorphisms found generate Aut.  The search runs on the integer ranks of
+    the weights, with an explicit stack.
     """
     n = x.n
     ranks, levels = _ranks(x)
@@ -206,8 +205,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     # rows of the incumbent, or of a prefix that beat it followed by top rows
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
-    # each vertex's class of twins, and the classes by first member, found at the root
-    twin_of = classes = [[u] for u in range(n)]
+    twin_of = _twin_classes(R)  # each vertex's class of twins
+    classes = [c for u, c in enumerate(twin_of) if c[0] == u]  # by first member
     automorphisms: list[tuple[int, ...]] = []  # those the search found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
@@ -249,8 +248,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     stack.pop()
             continue
         first, rest = cells[0], cells[1:]
-        # one child per twin class, for its largest member, which is popped
-        # first; at the root, before the classes are found, one per vertex
+        # one child per twin class, for its largest member, which is popped first
         last = {twin_of[u][0]: u for u in first}
         children = []
         for u in first:
@@ -272,9 +270,6 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                     child_row.extend([r] * len(groups[r]))
                     child_cells.append(groups[r])
             children.append((tuple(child_row), u, child_cells))
-        if not depth:
-            twin_of = _twin_classes(R, children)
-            classes = [c for u, c in enumerate(twin_of) if c[0] == u]
         least = min(child[0] for child in children)
         if least > best[depth]:
             continue
@@ -292,24 +287,24 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     return _result(x, canonical, frame, automorphisms, max_n, classes)
 
 
-def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
+def _twin_classes(R: list[list[int]]) -> list[list[int]]:
     """Each vertex's class of twins, vertices whose ranks to every other vertex
     agree, ascending and shared by its members; [u] when u has no twin.  Twins
-    have equal sorted rows, the root's child rows, so a vertex is compared only
-    with the first member of each class of its row: being twins is transitive.
+    have equal row sums, so a vertex is compared only with the first member of
+    each class of its row sum: being twins is transitive.
 
-    Row u's key is the sum of R[u][w] * mix[w], made only for a row that two
-    vertices share.  Twins a and u have equal rows but at a and u, where each
-    holds R[a][u] against the other's 0 on the diagonal, so their keys differ
-    by R[a][u] * (mix[u] - mix[a]): a pair failing that test is rejected at
-    once, and one passing it is compared.
+    Row u's key is the sum of R[u][w] * mix[w], made only for a row sum that
+    two vertices share.  Twins a and u have equal rows but at a and u, where
+    each holds R[a][u] against the other's 0 on the diagonal, so their keys
+    differ by R[a][u] * (mix[u] - mix[a]): a pair failing that test is rejected
+    at once, and one passing it is compared.
     """
-    by_row: dict[tuple[int, ...], list[int]] = {}
-    for row, u, _ in children:
-        by_row.setdefault(row, []).append(u)
+    by_sum: dict[int, list[int]] = {}
+    for u, Ru in enumerate(R):
+        by_sum.setdefault(sum(Ru), []).append(u)
     twin_of = [[u] for u in range(len(R))]
     mix: list[int] = []
-    for group in by_row.values():
+    for group in by_sum.values():
         if len(group) == 1:
             continue
         mix = mix or [(w * 0x9E3779B97F4A7C15) >> 32 & 0xFFFFFFFF for w in range(1, len(R) + 1)]
@@ -317,7 +312,7 @@ def _twin_classes(R: list[list[int]], children: list[tuple]) -> list[list[int]]:
         for u in group:
             Ru, key_u = R[u], sum(map(mul, R[u], mix))
             for c, key_a in classes:
-                a = c[0]  # below u, as the root's children ascend
+                a = c[0]  # below u, as each group ascends
                 if key_a - key_u != Ru[a] * (mix[u] - mix[a]):
                     continue
                 Ra, lo, hi = R[a], a + 1, u + 1

@@ -8,10 +8,10 @@ rest of the package canonizes against.  All scalars are exact rationals.
 A group of vertex permutations, such as a graph's automorphism group, is
 held as classes of points whose symmetric groups it holds and a Schreier-Sims
 chain of its action on the classes; its greedy generating set is read level
-by level from the two.  The pair order, the application of a permutation, the
-group operations, the list of all n! relabelings, which holds each induced
-action as a getter that gathers in C what that application scatters, and the
-rule for an exact literal each have one definition in this module.
+by level from the two.  The pair order, the scatter that moves a vector's
+entries where a permutation sends them, the group operations, the list of all
+n! relabelings, whose getters gather in C what that scatter moves, and the
+rule for an exact literal each have one definition here; composition gathers.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ class EdgeVector:
 def _scatter(values, index_map) -> tuple:
     """``values`` rearranged: ``values[s]`` moves to 1-based position ``index_map[s]``.
 
-    The one way a permutation is applied in this package: to weight vectors,
-    exponent vectors, point vectors, and to a range to invert a permutation.
+    How relabelings move weight, exponent and point vectors, and on a range
+    how a permutation is inverted.  ``_compose``, ``VertexPermutation.compose``
+    and the getters of ``_group_table`` gather: position i takes values[g[i]].
     """
     out = [None] * len(index_map)
     for value, t in zip(values, index_map):

@@ -340,6 +340,9 @@ def test_sortframe_demo_matches_the_per_k_recurrence(capsys):
 
 def test_sortframe_demo_bad_literal(capsys):
     assert main(["sortframe-demo", "1,zebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad rational literal in vector: '1,zebra'\n"
 
 
 # the literal rule of parse_weighted: an exponent beyond +-4300 is refused

@@ -292,14 +292,13 @@ def test_pruned_agrees_with_bruteforce_on_perturbed_twins_with_class_swaps():
             assert pruned.automorphisms == brute.automorphisms
 
 def _root_twin_classes(x):
-    """``_twin_classes`` on the matrix and the root's child rows of the search."""
+    """``_twin_classes`` on the rank matrix of the search."""
     n = x.n
     ranks, _ = _ranks(x)
     R = [[0] * n for _ in range(n)]
     for (i, j), r in zip(combinations(range(n), 2), ranks):
         R[i][j] = R[j][i] = r
-    children = [(tuple(sorted(R[u][:u] + R[u][u + 1 :])), u, None) for u in range(n)]
-    twin_of = _twin_classes(R, children)
+    twin_of = _twin_classes(R)
     return [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
 
 
@@ -312,6 +311,8 @@ def test_twin_classes_match_the_pairwise_oracle():
             weights[rng.randrange(len(weights))] = rng.choice((0, 1, Fraction(1, 3)))
             inputs.append(EdgeVector(n, weights))
             inputs.append(EdgeVector(n, random_simple_weights(rng, n * (n - 1) // 2)))
+    for n in range(11, 41):
+        inputs.append(EdgeVector(n, twin_graph_weights(rng, n, rng.randrange(1, 7))))
     for x in inputs:
         assert _root_twin_classes(x) == twin_classes(x.n, x.weights), x
 
@@ -340,12 +341,14 @@ def _simple_graph_n8(adjacent):
         (_simple_graph_n8(lambda i, j: (i <= 4) != (j <= 4)), 2 * 24 * 24),  # K4,4
         (_simple_graph_n8(lambda i, j: i == 1), 5040),  # K1,7
         (_simple_graph_n8(lambda i, j: j - i in (1, 7)), 16),  # the 8-cycle
+        (EdgeVector(8, (Fraction(-2, 3),) * 28), 40320),
     ],
-    ids=["empty8", "complete8", "K4,4", "K1,7", "cycle8"],
+    ids=["empty8", "complete8", "K4,4", "K1,7", "cycle8", "constant8"],
 )
 def test_pruned_agrees_with_bruteforce_on_large_groups_n8(x, order):
     # brute force builds its chain from the stabilizer it enumerates, here up
-    # to all 8! relabelings; the search finds the same group from a few
+    # to all 8! relabelings; the search finds the same group from a few, and
+    # answers a graph whose vertices are all twins at its root
     brute, pruned = canonical_form_bruteforce(x), canonical_form_pruned(x)
     assert brute.canonical == pruned.canonical and brute.frame == pruned.frame
     assert brute.aut_order == pruned.aut_order == order
