@@ -247,8 +247,9 @@ _COMMANDS = (
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="paircanon",
         description="Canonical forms, automorphisms, and exact invariants of "
@@ -259,12 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for argument in arguments.split():
             p.add_argument(argument, **_ARGUMENTS[argument])
-        p.set_defaults(func=func)
-    return parser
+        p.set_defaults(command=name, func=func)
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    if argv and argv[0] in commands:  # parsed once, by the command's own parser
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -117,12 +117,11 @@ def _ranks(x: EdgeVector) -> tuple[tuple[int, ...], list[Fraction]]:
     # Fraction hashing and comparison run in Python: key by (numerator,
     # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
     keys = [w.as_integer_ratio() for w in x.weights]
-    levels = sorted(
-        dict(zip(keys, x.weights)).values(),
-        key=lambda w: ((w.numerator << 64) // w.denominator, w),
+    distinct = sorted(
+        dict(zip(keys, x.weights)).items(), key=lambda kw: ((kw[0][0] << 64) // kw[0][1], kw[1])
     )
-    rank_of = {w.as_integer_ratio(): r for r, w in enumerate(levels)}
-    return tuple(map(rank_of.__getitem__, keys)), levels
+    rank_of = {k: r for r, (k, _) in enumerate(distinct)}
+    return tuple(map(rank_of.__getitem__, keys)), [w for _, w in distinct]
 
 
 def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
@@ -229,48 +228,19 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             all(twin_of[w] is twin_of[cell[0]] for w in cell) for cell in cells
         ):
             # every row is forced: the cells are vertices or twins
-            a = depth
-            for cell in cells:
-                order[a : a + len(cell)] = reversed(cell)
-                a += len(cell)
-            for a in range(depth, n - 1):
-                Ra = R[order[a]]
-                rows[a] = tuple(Ra[u] for u in order[a + 1 :])
+            tail = _complete(R, cells, depth, order)
             # rows[:depth] equal best[:depth]; below a beaten prefix the first
             # leaf wins by best_order, since at depth n-1 its tail is empty
-            if best_order is None or rows[depth:] < best[depth:]:
-                best, best_order = rows.copy(), order.copy()
-            elif rows[depth:] == best[depth:]:
+            if best_order is None or tail < best[depth:]:
+                best, best_order = rows[:depth] + tail, order.copy()
+            elif tail == best[depth:]:
                 automorphisms.append(_scatter(order, [u + 1 for u in best_order]))
                 # back to the node where this path leaves the incumbent's
                 fork = next(a for a in range(n) if order[a] != best_order[a])
                 while stack and stack[-1][0] > fork + 1:
                     stack.pop()
             continue
-        first, rest = cells[0], cells[1:]
-        # one child per twin class, for its largest member, which is popped first
-        last = {twin_of[u][0]: u for u in first}
-        children = []
-        for u in first:
-            if last[twin_of[u][0]] != u:
-                continue
-            Ru = R[u]
-            split = [[w for w in first if w != u]] + rest if len(first) > 1 else rest
-            child_row: list[int] = []
-            child_cells = []
-            for cell in split:
-                if len(cell) == 1:
-                    child_row.append(Ru[cell[0]])
-                    child_cells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for w in cell:
-                    groups.setdefault(Ru[w], []).append(w)
-                for r in sorted(groups):
-                    child_row.extend([r] * len(groups[r]))
-                    child_cells.append(groups[r])
-            children.append((tuple(child_row), u, child_cells))
-        least = min(child[0] for child in children)
+        least, kept = _children(R, cells, twin_of)
         if least > best[depth]:
             continue
         if least < best[depth]:
@@ -278,13 +248,57 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             best_order = None
         rows[depth] = least
         tried[depth + 1] = (0, [], set())
-        for child_row, u, child_cells in children:
-            if child_row == least:
-                stack.append((depth + 1, u, child_cells))
+        stack += [(depth + 1, u, child_cells) for u, child_cells in kept]
 
     canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
     return _result(x, canonical, frame, automorphisms, max_n, classes)
+
+
+def _children(R: list[list[int]], cells: list[list[int]], twin_of: list[list[int]]):
+    """The least row among the children of an ordered partition, one for the
+    last member of each twin class in the first cell, and the kept children,
+    which reach it, as (vertex, cells) in first-cell order.  Every child's row
+    comes first; only the kept children split their cells, and a cell whose
+    ranks in the least row are equal stays whole."""
+    first, rest = cells[0], cells[1:]
+    last = {twin_of[u][0]: u for u in first}
+    # each row is led by Ru[u] = 0, the least rank, which [1] is above
+    least, kept = [1], []
+    for u in first:
+        if last[twin_of[u][0]] == u:
+            Ru = R[u]
+            row = sorted(map(Ru.__getitem__, first))
+            for cell in rest:
+                if len(cell) == 1:
+                    row.append(Ru[cell[0]])
+                else:
+                    row += sorted(map(Ru.__getitem__, cell))
+            if row < least:
+                least, kept = row, [u]
+            elif row == least:
+                kept.append(u)
+    children = []
+    for u in kept:
+        Ru, child_cells, b = R[u], [], 1  # least[0] is u's own 0
+        for cell in filter(None, [[w for w in first if w != u]] + rest):
+            a, b = b, b + len(cell)
+            if least[a] == least[b - 1]:  # one rank to u: the cell stays whole
+                child_cells.append(cell)
+                continue
+            groups: dict[int, list[int]] = {r: [] for r in least[a:b]}  # ascending, as in row
+            for w in cell:
+                groups[Ru[w]].append(w)
+            child_cells += groups.values()
+        children.append((u, child_cells))
+    return tuple(least[1:]), children
+
+
+def _complete(R: list[list[int]], cells: list[list[int]], depth: int, order: list[int]):
+    """Label a partition of single vertices and twin cells in order, each cell's
+    last member first, into order[depth:], and return rows depth..n-2."""
+    order[depth:] = tail = [w for cell in cells for w in reversed(cell)]
+    return [tuple(map(R[u].__getitem__, tail[a + 1 :])) for a, u in enumerate(tail[:-1])]
 
 
 def _twin_classes(R: list[list[int]]) -> list[list[int]]:

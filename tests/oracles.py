@@ -160,6 +160,34 @@ def twin_classes(n, weights):
     return [c for c in classes if len(c) > 1]
 
 
+def children_by_full_split(R, first, rest, twin_of):
+    """Every child of the ordered partition [first, *rest] of a search over the
+    rank matrix R, as (row, vertex, cells), each row and cells built together:
+    the reference for ``paircanon.frame._children``.  A child labels the last
+    member of a twin class in ``first`` and splits each cell by the rank to it,
+    ascending; its row lists the ranks in the order of its cells."""
+    children = []
+    for u in first:
+        if [w for w in first if twin_of[w] == twin_of[u]][-1] != u:
+            continue
+        row, cells = [], []
+        for cell in [[w for w in first if w != u]] + rest:
+            for r in sorted({R[u][w] for w in cell}):
+                group = [w for w in cell if R[u][w] == r]
+                row += [r] * len(group)
+                cells.append(group)
+        children.append((tuple(row), u, cells))
+    return children
+
+
+def ranks_by_sorting(weights):
+    """Each weight's rank among the distinct values, and those values ascending,
+    by a plain sort: the reference for ``paircanon.frame._ranks``."""
+    levels = sorted(set(weights))
+    rank_of = {w: r for r, w in enumerate(levels)}
+    return tuple(rank_of[w] for w in weights), levels
+
+
 def twin_transpositions(n, classes):
     """The transposition of each two adjacent members of a class, as 0-based
     image tuples; they generate the product of the classes' symmetric groups."""

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -306,6 +307,46 @@ def test_classify_n4_takes_no_engine(p4_file, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {option}" in captured.err
+
+
+def test_usage_errors_name_the_command(capsys):
+    # a command's arguments are parsed by its own parser, whose usage line
+    # heads the error
+    for command, extra in (("orbit", ["--engine", "brute", "-"]), ("canon", ["-", "extra"])):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: paircanon {command} ")
+        assert "unrecognized arguments:" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["bogus"], 2)])
+def test_without_a_command_the_top_level_parser_answers(argv, code, capsys):
+    outputs = []
+    for parse in (build_parser()[0].parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outputs.append((exc.value.code, *capsys.readouterr()))
+    assert outputs[1] == outputs[0]
+    assert outputs[1][0] == code
+    assert "".join(outputs[1][1:]).startswith("usage: paircanon [-h]")
+
+
+def test_main_parses_argv_once(capsys, monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(P4) + "\n"))
+    assert main(["canon", "--json", "--format", "graph6", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["aut_order"] == 2
+    assert parsed == ["paircanon canon"]
 
 
 # --------------------------------------------------------- sortframe-demo

@@ -7,6 +7,7 @@ import pytest
 
 from paircanon.frame import (
     CanonResult,
+    _children,
     _coset_leaders,
     _ranks,
     _twin_classes,
@@ -28,6 +29,7 @@ from paircanon.pairgroup import (
 from oracles import (
     all_actions,
     all_simple_vectors,
+    children_by_full_split,
     frame_coset_check,
     lex_pairs,
     naive_canonical,
@@ -291,14 +293,19 @@ def test_pruned_agrees_with_bruteforce_on_perturbed_twins_with_class_swaps():
         if x.n <= 7:
             assert pruned.automorphisms == brute.automorphisms
 
-def _root_twin_classes(x):
-    """``_twin_classes`` on the rank matrix of the search."""
+def _rank_matrix(x):
+    """The rank matrix of the search, with a zero diagonal."""
     n = x.n
     ranks, _ = _ranks(x)
     R = [[0] * n for _ in range(n)]
     for (i, j), r in zip(combinations(range(n), 2), ranks):
         R[i][j] = R[j][i] = r
-    twin_of = _twin_classes(R)
+    return R
+
+
+def _root_twin_classes(x):
+    """``_twin_classes`` on the rank matrix of the search."""
+    twin_of = _twin_classes(_rank_matrix(x))
     return [c for u, c in enumerate(twin_of) if c[0] == u and len(c) > 1]
 
 
@@ -315,6 +322,31 @@ def test_twin_classes_match_the_pairwise_oracle():
         inputs.append(EdgeVector(n, twin_graph_weights(rng, n, rng.randrange(1, 7))))
     for x in inputs:
         assert _root_twin_classes(x) == twin_classes(x.n, x.weights), x
+
+
+def test_children_match_the_full_split_oracle():
+    # random ordered partitions of some of the vertices, cells in random order,
+    # over twin-rich, three-value and 0/1 rank matrices
+    rng = random.Random(97)
+    for case in range(600):
+        n = rng.randrange(3, 13)
+        m = n * (n - 1) // 2
+        if case % 3 == 0:
+            weights = twin_graph_weights(rng, n, rng.randrange(1, min(n, 5)))
+        elif case % 3 == 1:
+            pool = rng.sample([Fraction(p, 3) for p in range(-4, 5)], 3)
+            weights = tuple(rng.choice(pool) for _ in range(m))
+        else:
+            weights = random_simple_weights(rng, m)
+        R = _rank_matrix(EdgeVector(n, weights))
+        twin_of = _twin_classes(R)
+        vertices = rng.sample(range(n), rng.randrange(2, n + 1))
+        cuts = sorted(rng.sample(range(1, len(vertices)), rng.randrange(len(vertices) - 1)))
+        cells = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, len(vertices)])]
+        full = children_by_full_split(R, cells[0], cells[1:], twin_of)
+        least = min(row for row, _, _ in full)
+        kept = [(u, child_cells) for row, u, child_cells in full if row == least]
+        assert _children(R, cells, twin_of) == (least, kept), (weights, cells)
 
 
 def test_twin_only_group_at_500_vertices():
