@@ -115,13 +115,14 @@ class EdgeVector:
     """Edge weights of a graph on n >= 3 vertices, in lexicographic pair order.
 
     Weights are exact rationals; a simple graph is the special case where
-    every weight is 0 or 1.
+    every weight is 0 or 1.  n is read by ``operator.index``, as images are.
     """
 
     n: int
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
         weights = tuple(_exact(w) for w in self.weights)

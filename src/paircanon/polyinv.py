@@ -2,8 +2,8 @@
 
 Averaging a polynomial over every induced edge-position permutation projects
 it onto the subalgebra of functions unchanged by vertex relabeling.  For four
-vertices, nine such averages generate that whole subalgebra, and a tuple of
-four of them already separates the eleven isomorphism types of simple graphs.
+vertices, a tuple of four such averages separates the eleven isomorphism
+types of simple graphs.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from typing import Mapping
 from .pairgroup import (
     DEFAULT_MAX_N,
     EdgeVector,
-    PairAction,
     _check_enumerable,
     _exact,
     _group_table,
-    _scatter,
     _texts,
 )
 
@@ -38,7 +36,7 @@ class Polynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.nvars = int(nvars)
+        self.nvars = index(nvars)
         if self.nvars < 1:
             raise ValueError(f"need at least one variable, got {nvars}")
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -64,81 +62,14 @@ class Polynomial:
         return f
 
     @classmethod
-    def zero(cls, nvars: int) -> Polynomial:
-        return cls(nvars)
-
-    @classmethod
     def monomial(cls, exponents, coeff=1) -> Polynomial:
         exponents = tuple(exponents)
         return cls(len(exponents), {exponents: coeff})
-
-    @property
-    def degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Polynomial._from_exact(self.nvars, terms)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial._from_exact(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> Polynomial:
-        if isinstance(other, Polynomial):
-            if self.nvars != other.nvars:
-                raise ValueError("variable count mismatch")
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(ma, mb))
-                    terms[mono] = terms.get(mono, Fraction(0)) + ca * cb
-            return Polynomial._from_exact(self.nvars, terms)
-        scalar = _exact(other)
-        return Polynomial._from_exact(self.nvars, {m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def apply(self, action: PairAction) -> Polynomial:
-        """Relabel variables along an induced position permutation.
-
-        Exponents move exactly the way weight vectors do under
-        :func:`paircanon.pairgroup.act`, so invariant polynomials are the
-        fixed points of this map.
-        """
-        imap = action.index_map
-        if len(imap) != self.nvars:
-            raise ValueError(
-                f"variable count mismatch: polynomial has {self.nvars}, "
-                f"action has {len(imap)}"
-            )
-        moved = {_scatter(mono, imap): coeff for mono, coeff in self.terms.items()}
-        return Polynomial._from_exact(self.nvars, moved)
-
-    def evaluate(self, x) -> Fraction:
-        """Value at an EdgeVector or any sequence of exact scalars."""
-        weights = x.weights if isinstance(x, EdgeVector) else tuple(_exact(w) for w in x)
-        if len(weights) != self.nvars:
-            raise ValueError(
-                f"dimension mismatch: {len(weights)} values for {self.nvars} variables"
-            )
-        terms = (coeff * math.prod(map(pow, weights, mono)) for mono, coeff in self.terms.items())
-        return sum(terms, Fraction(0))
 
     def to_text(self) -> str:
         """One term per line, descending graded-lex, as ``coeff * x<i>^<e> ...``."""
@@ -176,26 +107,6 @@ def reynolds(f: Polynomial, n: int, max_n: int = DEFAULT_MAX_N) -> Polynomial:
         for image in orbit:
             acc[image] = acc[image] + share if image in acc else share
     return Polynomial._from_exact(m, acc)
-
-
-def n4_generating_set() -> list[Polynomial]:
-    """Nine averages generating every relabeling-invariant polynomial for n=4.
-
-    Seven are powers and products with known closed expansions; the two mixed
-    ones of degrees 3 and 4 are computed rather than transcribed.
-    """
-    seeds = [
-        (1, 0, 0, 0, 0, 0),  # x1
-        (2, 0, 0, 0, 0, 0),  # x1^2
-        (1, 0, 0, 0, 0, 1),  # x1 x6
-        (3, 0, 0, 0, 0, 0),  # x1^3
-        (1, 1, 1, 0, 0, 0),  # x1 x2 x3
-        (4, 0, 0, 0, 0, 0),  # x1^4
-        (5, 0, 0, 0, 0, 0),  # x1^5
-        (2, 1, 0, 0, 0, 0),  # x1^2 x2
-        (3, 1, 0, 0, 0, 0),  # x1^3 x2
-    ]
-    return [reynolds(Polynomial.monomial(e), 4) for e in seeds]
 
 
 def simple_graph_invariants() -> list[Polynomial]:

@@ -31,13 +31,6 @@ class PointVector:
         return len(self.values)
 
 
-def permute_point(sigma: VertexPermutation, v: PointVector) -> PointVector:
-    """Move the entry at position i to position sigma(i)."""
-    if sigma.n != v.n:
-        raise ValueError(f"dimension mismatch: permutation n={sigma.n}, vector n={v.n}")
-    return PointVector(_scatter(v.values, sigma.images))
-
-
 def sort_frame(v: PointVector) -> tuple[PointVector, VertexPermutation]:
     """Sorted copy of v plus the permutation that achieves it.
 
@@ -48,11 +41,6 @@ def sort_frame(v: PointVector) -> tuple[PointVector, VertexPermutation]:
     ranked = sorted(range(1, v.n + 1), key=lambda i: (v.values[i - 1], i))
     ordered = PointVector(tuple(v.values[i - 1] for i in ranked))
     return ordered, VertexPermutation._from_images(_scatter(range(1, v.n + 1), ranked))
-
-
-def order_statistics(v: PointVector) -> PointVector:
-    """The sorted entries; unchanged under any permutation of the input."""
-    return sort_frame(v)[0]
 
 
 def elementary_values(k: int, v: PointVector) -> list[Fraction]:

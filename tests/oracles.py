@@ -14,8 +14,8 @@ for an exact literal with every string going through ``Fraction(str)``,
 :func:`evaluate_by_term`, a polynomial's value from its terms in ``Fraction``
 arithmetic, :func:`elementary_symmetric_per_k`, one e_k by its own pass of
 the product recurrence, and :func:`classify_by_evaluate`, the simple 4-vertex
-graphs grouped by :meth:`paircanon.polyinv.Polynomial.evaluate` of each
-invariant.
+graphs grouped by :func:`evaluate_by_term` of each of the package's four
+simple-graph invariants.
 """
 
 from __future__ import annotations
@@ -206,6 +206,16 @@ def random_permutation(rng: random.Random, n: int):
     return tuple(images)
 
 
+def permuted(values, images):
+    """``values`` with entry i moved to 1-based position ``images[i-1]``, each
+    position filled by searching ``images`` for it: moves a point's entries by
+    a vertex permutation, and a monomial's exponents by an induced action's
+    ``index_map``, the way :func:`paircanon.pairgroup.act` moves weights."""
+    if sorted(images) != list(range(1, len(values) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(values)}: {images}")
+    return tuple(values[images.index(t)] for t in range(1, len(values) + 1))
+
+
 def elementary_symmetric_by_subsets(k, values):
     """e_k by its definition: the sum over all k-subsets of the product of entries."""
     total = Fraction(0)
@@ -388,6 +398,6 @@ def classify_by_evaluate():
     classes = {}
     for bits in product((Fraction(0), Fraction(1)), repeat=6):
         x = EdgeVector(4, bits)
-        key = tuple(f.evaluate(x) for f in invariants)
+        key = tuple(evaluate_by_term(f, bits) for f in invariants)
         classes.setdefault(key, []).append(x)
     return classes

@@ -101,6 +101,19 @@ def test_edge_vector_validation():
         EdgeVector(4, (0.5, 0, 0, 0, 0, 0))
 
 
+def test_edge_vector_refuses_a_float_vertex_count():
+    # a float n used to be kept and to fail deep inside the search
+    with pytest.raises(TypeError):
+        EdgeVector(4.0, (0,) * 6)
+
+    class Four:
+        def __index__(self):
+            return 4
+
+    x = EdgeVector(Four(), (0,) * 6)
+    assert type(x.n) is int and x == zero_vector(4)
+
+
 @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999", "1e4300", "-1E-4300", "99e4299"])
 def test_edge_vector_refuses_what_parse_weighted_refuses(literal):
     # one rule for an exact literal: an exponent beyond +-4300 is refused
@@ -282,7 +295,7 @@ def test_enumerate_group_size_errors():
         canonical_form_bruteforce(zero_vector(5), max_n=4)
     with pytest.raises(GroupSizeError, match="max_n"):
         # 1800! has more digits than int-to-str allows
-        reynolds(Polynomial.zero(1800 * 1799 // 2), 1800)
+        reynolds(Polynomial(1800 * 1799 // 2), 1800)
     assert canonical_form_bruteforce(zero_vector(5), max_n=5).aut_order == 120
 
 
