@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
 parse error or recursion limit, 3 group-size limit, a group or orbit size of
-more than 4300 digits, or out of memory; an error
-prints one ``error:`` line on stderr, never a traceback, and nothing on stdout,
-since each command builds its whole output before printing it.  The polyinv
-and sortframe modules are imported by the commands that use them, so a graph
-command does not load them.
+more than 4300 digits, or out of memory.  Each command returns its exit code,
+JSON payload and text lines, the two built on demand; ``main`` alone prints,
+only after the command has built all of its output, so an error prints one
+``error:`` line on stderr, never a traceback, and nothing on stdout.  The
+polyinv and sortframe modules are imported by the commands that use them, so
+a graph command does not load them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .frame import CanonResult, canonical_form, is_isomorphic
-from .graphio import ParseError, emit_graph6, parse_graph6, parse_weighted
+from .graphio import emit_graph6, parse_graph6, parse_weighted
 from .pairgroup import (
     DEFAULT_MAX_N,
     MAX_EXPONENT,
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_NOT_ISOMORPHIC = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
+
+#: a command's exit code, JSON payload and text lines; only the printed form is built
+Output = tuple[int, Callable[[], dict], Callable[[], Iterable[str]]]
 
 
 def _read_graph(path: str, fmt: str) -> EdgeVector:
@@ -52,30 +56,20 @@ def _printable(size: int, name: str) -> int:
     return size
 
 
-def _emit(
-    args: argparse.Namespace, payload: Callable[[], dict], lines: Callable[[], Iterable[str]]
-) -> None:
-    """Print ``payload()`` as JSON under ``--json``, else the ``lines()``.  Only
-    the printed form is built, and wholly before anything is printed, so a
-    failing command prints nothing."""
-    print(json.dumps(payload()) if args.json else "\n".join(lines()))
-
-
-def _canonize(args: argparse.Namespace, **options) -> tuple[EdgeVector, CanonResult]:
+def _canonize(args: argparse.Namespace, **options) -> CanonResult:
     """Read the input graph and canonize it with the given ``canonical_form`` options."""
-    x = _read_graph(args.input, args.format)
-    return x, canonical_form(x, **options)
+    return canonical_form(_read_graph(args.input, args.format), **options)
 
 
-def cmd_canon(args: argparse.Namespace) -> int:
-    x, result = _canonize(args, engine=args.engine, max_n=args.max_n)
+def cmd_canon(args: argparse.Namespace) -> Output:
+    result = _canonize(args, engine=args.engine, max_n=args.max_n)
     order = _printable(result.aut_order, "the automorphism group's order")
     canonical = _texts(result.canonical.weights)
     generators = [g.images for g in result.generators]
-    _emit(
-        args,
+    return (
+        EXIT_OK,
         lambda: {
-            "n": x.n,
+            "n": result.canonical.n,
             "canonical": canonical,
             "frame": result.frame.images,
             "aut_order": order,
@@ -88,48 +82,42 @@ def cmd_canon(args: argparse.Namespace) -> int:
             *(f"aut_gen {_values(g)}" for g in generators),
         ],
     )
-    return EXIT_OK
 
 
-def cmd_iso(args: argparse.Namespace) -> int:
+def cmd_iso(args: argparse.Namespace) -> Output:
     x = _read_graph(args.a, args.format)
     y = _read_graph(args.b, args.format)
     found, witness = is_isomorphic(x, y)
     if found:
         images = witness.images
         text = f"isomorphic {_values(images)}"
-        _emit(args, lambda: {"isomorphic": True, "witness": images}, lambda: [text])
-        return EXIT_OK
-    _emit(args, lambda: {"isomorphic": False}, lambda: ["not isomorphic"])
-    return EXIT_NOT_ISOMORPHIC
+        return EXIT_OK, lambda: {"isomorphic": True, "witness": images}, lambda: [text]
+    return EXIT_NOT_ISOMORPHIC, lambda: {"isomorphic": False}, lambda: ["not isomorphic"]
 
 
-def cmd_aut(args: argparse.Namespace) -> int:
-    x, result = _canonize(args, max_n=args.max_n)
+def cmd_aut(args: argparse.Namespace) -> Output:
+    result = _canonize(args, max_n=args.max_n)
+    n, order = result.canonical.n, result.aut_order
     automorphisms = sorted(p.images for p in result.automorphisms)
-    _emit(
-        args,
-        lambda: {"n": x.n, "aut_order": result.aut_order, "automorphisms": automorphisms},
+    return (
+        EXIT_OK,
+        lambda: {"n": n, "aut_order": order, "automorphisms": automorphisms},
         lambda: map(_values, automorphisms),
     )
-    return EXIT_OK
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
-    x, result = _canonize(args)
-    size = _printable(result.orbit_size, "the orbit size")
-    _emit(args, lambda: {"n": x.n, "orbit_size": size}, lambda: [f"orbit_size {size}"])
-    return EXIT_OK
+def cmd_orbit(args: argparse.Namespace) -> Output:
+    result = _canonize(args)
+    n, size = result.canonical.n, _printable(result.orbit_size, "the orbit size")
+    return EXIT_OK, lambda: {"n": n, "orbit_size": size}, lambda: [f"orbit_size {size}"]
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
-    _, result = _canonize(args)
-    invariants = _texts(result.canonical.weights)
-    _emit(args, lambda: {"invariants": invariants}, lambda: [" ".join(invariants)])
-    return EXIT_OK
+def cmd_invariants(args: argparse.Namespace) -> Output:
+    invariants = _texts(_canonize(args).canonical.weights)
+    return EXIT_OK, lambda: {"invariants": invariants}, lambda: [" ".join(invariants)]
 
 
-def cmd_reynolds(args: argparse.Namespace) -> int:
+def cmd_reynolds(args: argparse.Namespace) -> Output:
     from .polyinv import parse_monomial, reynolds
 
     if args.n < 3:
@@ -139,34 +127,30 @@ def cmd_reynolds(args: argparse.Namespace) -> int:
     m = args.n * (args.n - 1) // 2
     f = parse_monomial(args.monomial, m)
     text = reynolds(f, args.n, max_n=args.max_n).to_text()
-    _emit(args, lambda: {"n": args.n, "terms": text.splitlines()}, lambda: [text])
-    return EXIT_OK
+    return EXIT_OK, lambda: {"n": args.n, "terms": text.splitlines()}, lambda: [text]
 
 
-def cmd_classify_n4(args: argparse.Namespace) -> int:
+def cmd_classify_n4(args: argparse.Namespace) -> Output:
     from .polyinv import classify_simple_graphs_n4
 
-    classes = classify_simple_graphs_n4()
-    rows = []
-    for key, members in classes.items():
-        representative = min(members, key=lambda x: x.weights)  # a class is one orbit
-        rows.append((representative.weights, key, emit_graph6(representative), len(members)))
-    rows.sort(key=lambda row: row[0])
-    numbered = list(enumerate(rows, start=1))
-    _emit(
-        args,
+    # the classes come by least member, ascending, and each lists that one first
+    rows = [
+        (idx, key, emit_graph6(members[0]), len(members))
+        for idx, (key, members) in enumerate(classify_simple_graphs_n4().items(), start=1)
+    ]
+    return (
+        EXIT_OK,
         lambda: {
             "classes": [
                 {"id": idx, "invariants": [str(v) for v in key], "graph6": g6, "orbit_size": size}
-                for idx, (_, key, g6, size) in numbered
+                for idx, key, g6, size in rows
             ]
         },
-        lambda: (f"{idx} {_values(key)} {g6} {size}" for idx, (_, key, g6, size) in numbered),
+        lambda: (f"{idx} {_values(key)} {g6} {size}" for idx, key, g6, size in rows),
     )
-    return EXIT_OK
 
 
-def cmd_sortframe_demo(args: argparse.Namespace) -> int:
+def cmd_sortframe_demo(args: argparse.Namespace) -> Output:
     from .sortframe import PointVector, elementary_values, sort_frame
 
     tokens = args.vector.replace(",", " ").split()
@@ -186,8 +170,8 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"e_{k} of {args.vector!r} has more than {MAX_EXPONENT} digits"
             ) from None
-    _emit(
-        args,
+    return (
+        EXIT_OK,
         lambda: {"sorted": ordered_text, "frame": frame.images, "elementary": elementary},
         lambda: [
             f"sorted {' '.join(ordered_text)}",
@@ -195,7 +179,6 @@ def cmd_sortframe_demo(args: argparse.Namespace) -> int:
             f"e {' '.join(elementary)}",
         ],
     )
-    return EXIT_OK
 
 
 #: every option and positional argument of a subcommand, with its ``add_argument`` keywords
@@ -271,10 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         parser, argv = commands[argv[0]], argv[1:]
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload()) if args.json else "\n".join(lines()))
+        return code
     except (GroupSizeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE

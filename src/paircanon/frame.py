@@ -200,8 +200,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
     top = (len(levels),)  # above every row, since every rank is below len(levels)
-    rows: list[tuple[int, ...]] = [()] * (n - 1)  # rows of the current branch
-    # rows of the incumbent, or of a prefix that beat it followed by top rows
+    # rows of the incumbent, or of a prefix that beat it followed by top rows;
+    # at every node its first depth rows are the current branch's
     best: list[tuple[int, ...]] = [top] * (n - 1)
     best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
     twin_of = _twin_classes(R)  # each vertex's class of twins
@@ -229,10 +229,10 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
         ):
             # every row is forced: the cells are vertices or twins
             tail = _complete(R, cells, depth, order)
-            # rows[:depth] equal best[:depth]; below a beaten prefix the first
-            # leaf wins by best_order, since at depth n-1 its tail is empty
+            # below a beaten prefix the first leaf wins by best_order, since
+            # at depth n-1 its tail is empty
             if best_order is None or tail < best[depth:]:
-                best, best_order = rows[:depth] + tail, order.copy()
+                best[depth:], best_order = tail, order.copy()
             elif tail == best[depth:]:
                 automorphisms.append(_scatter(order, [u + 1 for u in best_order]))
                 # back to the node where this path leaves the incumbent's
@@ -246,7 +246,6 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
         if least < best[depth]:
             best[depth:] = [least] + [top] * (n - 2 - depth)
             best_order = None
-        rows[depth] = least
         tried[depth + 1] = (0, [], set())
         stack += [(depth + 1, u, child_cells) for u, child_cells in kept]
 

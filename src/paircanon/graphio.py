@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .pairgroup import EdgeVector, _exact, _row_offsets, _scatter
+from .pairgroup import EdgeVector, _exact, _row_offsets, _scatter, _texts
 
 _G6_HEADER = ">>graph6<<"
 
@@ -88,17 +88,13 @@ def parse_weighted(text: str) -> EdgeVector:
 
 def emit_weighted(x: EdgeVector) -> str:
     """Canonical text form: header plus the nonzero edges in pair order."""
-    n, weights = x.n, x.weights
+    n, texts = x.n, _texts(x.weights)
     lines = [f"n {n}"]
     label = [f"{v} " for v in range(n + 1)]
-    literal: dict[int, str] = {}  # id of a weight -> its text, "" for 0
     for i, s in enumerate(_row_offsets(n)[1:], start=1):
         row = label[i]
-        for j, w in enumerate(weights[s + i : s + n], start=i + 1):  # row i's pairs
-            t = literal.get(id(w))
-            if t is None:
-                t = literal[id(w)] = f"{w}" if w else ""
-            if t:
+        for j, t in enumerate(texts[s + i : s + n], start=i + 1):  # row i's pairs
+            if t != "0":
                 lines.append(f"{row}{label[j]}{t}")
     return "\n".join(lines) + "\n"
 

@@ -96,10 +96,6 @@ class VertexPermutation:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> VertexPermutation:
-        return cls(tuple(range(1, n + 1)))
-
     def compose(self, other: VertexPermutation) -> VertexPermutation:
         """self after other: i goes to ``self.images[other.images[i-1] - 1]``."""
         if self.n != other.n:

@@ -127,7 +127,8 @@ def classify_simple_graphs_n4() -> dict[tuple[Fraction, ...], list[EdgeVector]]:
     otherwise, so each value is the sum of the coefficients whose support
     mask lies inside the graph's edge mask: an integer over the lcm of the
     invariant's denominators.  The graphs come in ``product`` order, so a
-    graph's index is its edge mask, with position s in bit 5 - s.
+    graph's index is its edge mask, with position s in bit 5 - s, each class
+    lists its members ascending, and the classes come by least member ascending.
     """
     dens, sums = [], []
     for f in simple_graph_invariants():

@@ -262,7 +262,7 @@ def closure(
     Dimino's algorithm: the result grows by whole right cosets of ``base``, one
     for each product of a coset representative and a generator not yet in it.
     """
-    identity = VertexPermutation.identity(n)
+    identity = VertexPermutation(tuple(range(1, n + 1)))
     base = base or {identity}
     seen = set(base)
     reps = [identity]
@@ -286,7 +286,7 @@ def generating_set_by_scan(perms) -> list[VertexPermutation]:
         raise ValueError("empty permutation collection")
     n = elements[0].n
     gens: list[VertexPermutation] = []
-    closed = {VertexPermutation.identity(n)}
+    closed = {VertexPermutation(tuple(range(1, n + 1)))}
     for p in elements:
         if p in closed:
             continue

@@ -525,7 +525,7 @@ def test_sizes_beyond_4300_digits_exit_3(tmp_path, capsys, monkeypatch, command,
     # digits; the result is made without a search
     n = 1600
     zeros = EdgeVector._from_exact(n, (Fraction(0),) * (n * (n - 1) // 2))
-    result = CanonResult(zeros, VertexPermutation.identity(n), group)
+    result = CanonResult(zeros, VertexPermutation(tuple(range(1, n + 1))), group)
     monkeypatch.setattr("paircanon.cli.canonical_form", lambda x, **options: result)
     assert main([command, "--json", write(tmp_path, "g.txt", f"n {n}\n")]) == 3
     captured = capsys.readouterr()

@@ -275,6 +275,17 @@ def test_classify_matches_evaluate_per_graph():
         assert classes[key] == expected[key]
 
 
+def test_classes_come_by_least_member_which_each_lists_first():
+    # classify-n4 numbers the classes in this order and prints each one's
+    # first member as its representative, without sorting
+    classes = list(classify_simple_graphs_n4().values())
+    for members in classes:
+        assert members[0].weights == min(x.weights for x in members)
+    firsts = [members[0].weights for members in classes]
+    assert firsts == sorted(firsts)
+    assert len(set(firsts)) == len(firsts)
+
+
 def test_classification_matches_canonical_partition():
     classes = classify_simple_graphs_n4()
     for members in classes.values():

@@ -40,7 +40,7 @@ def test_sort_basic():
 def test_constant_vector_gets_identity_frame():
     ordered, frame = sort_frame(pv(5, 5, 5))
     assert ordered == pv(5, 5, 5)
-    assert frame == VertexPermutation.identity(3)
+    assert frame == VertexPermutation((1, 2, 3))
 
 
 def test_tied_values_take_lex_smallest_achiever():
