@@ -7,17 +7,18 @@ JSON payload and text lines, the two built on demand; ``main`` alone prints,
 only after the command has built all of its output, so an error prints one
 ``error:`` line on stderr, never a traceback, and nothing on stdout.  The
 polyinv and sortframe modules are imported by the commands that use them, so
-a graph command does not load them.
+a graph command does not load them: it loads frame, graphio, pairgroup and
+their stdlib imports (argparse, fractions, functools, itertools, math,
+operator, gc, collections.abc), and json only for ``--json``; it builds only
+its own command's parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Callable, Iterable
 from functools import cache
-from pathlib import Path
-from typing import Callable, Iterable
 
 from .frame import CanonResult, canonical_form, is_isomorphic
 from .graphio import emit_graph6, parse_graph6, parse_weighted
@@ -41,7 +42,11 @@ Output = tuple[int, Callable[[], dict], Callable[[], Iterable[str]]]
 
 
 def _read_graph(path: str, fmt: str) -> EdgeVector:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     return parse_weighted(text) if fmt == "weighted" else parse_graph6(text)
 
 
@@ -204,58 +209,70 @@ _ARGUMENTS = {
     "vector": dict(help="rational entries, e.g. '3,1,2' or '1/2 0.25 -1'"),
 }
 
-#: each subcommand: name, handler, its arguments in ``_ARGUMENTS``, help.  Only
+#: each subcommand by name: handler, its arguments in ``_ARGUMENTS``, help.  Only
 #: ``canon`` takes ``--engine``, since both engines print the same answer, and
 #: ``--max-n`` goes only where a whole group is enumerated.
-_COMMANDS = (
-    (
-        "canon",
+_COMMANDS = {
+    "canon": (
         cmd_canon,
         "--json --format --engine --max-n input",
         "canonical vector, frame permutation, automorphism group",
     ),
-    ("iso", cmd_iso, "--json --format a b", "isomorphism test with witness relabeling"),
-    ("aut", cmd_aut, "--json --format --max-n input", "list all automorphisms"),
-    ("orbit", cmd_orbit, "--json --format input", "orbit size under relabeling"),
-    ("invariants", cmd_invariants, "--json --format input", "invariant coordinates I_1..I_m"),
-    ("reynolds", cmd_reynolds, "--json --max-n monomial n", "group average of a monomial"),
-    ("classify-n4", cmd_classify_n4, "--json", "the 11 simple-graph classes on 4 vertices"),
-    (
-        "sortframe-demo",
+    "iso": (cmd_iso, "--json --format a b", "isomorphism test with witness relabeling"),
+    "aut": (cmd_aut, "--json --format --max-n input", "list all automorphisms"),
+    "orbit": (cmd_orbit, "--json --format input", "orbit size under relabeling"),
+    "invariants": (cmd_invariants, "--json --format input", "invariant coordinates I_1..I_m"),
+    "reynolds": (cmd_reynolds, "--json --max-n monomial n", "group average of a monomial"),
+    "classify-n4": (cmd_classify_n4, "--json", "the 11 simple-graph classes on 4 vertices"),
+    "sortframe-demo": (
         cmd_sortframe_demo,
         "--json vector",
         "sort a vector: sorted entries, frame, elementary symmetric values",
     ),
-)
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with command ``name``'s arguments and handler added."""
+    func, arguments, _ = _COMMANDS[name]
+    for argument in arguments.split():
+        parser.add_argument(argument, **_ARGUMENTS[argument])
+    parser.set_defaults(func=func)
+    return parser
 
 
 @cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name, built on
-    first use and shared by later calls."""
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s own parser, as ``build_parser`` adds it; built on first use."""
+    return _with_arguments(argparse.ArgumentParser(prog=f"paircanon {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="paircanon",
         description="Canonical forms, automorphisms, and exact invariants of "
         "weighted graphs under vertex relabeling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, arguments, help_text in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for argument in arguments.split():
-            p.add_argument(argument, **_ARGUMENTS[argument])
-        p.set_defaults(command=name, func=func)
-    return parser, sub.choices
+    for name, (_, _, help_text) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=help_text), name)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = build_parser()
-    if argv and argv[0] in commands:  # parsed once, by the command's own parser
-        parser, argv = commands[argv[0]], argv[1:]
-    args = parser.parse_args(argv)
+    if argv and argv[0] in _COMMANDS:  # parsed once, by the command's own parser
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)
-        print(json.dumps(payload()) if args.json else "\n".join(lines()))
+        if args.json:
+            import json
+            print(json.dumps(payload()))
+        else:
+            print("\n".join(lines()))
         return code
     except (GroupSizeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

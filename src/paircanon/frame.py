@@ -25,11 +25,10 @@ as the twin classes and a chain of the found automorphisms' action on them
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import attrgetter, mul
 
 from .pairgroup import (
     DEFAULT_MAX_N,
@@ -37,6 +36,7 @@ from .pairgroup import (
     GroupSizeError,
     VertexPermutation,
     _Group,
+    _Value,
     _check_enumerable,
     _group_table,
     _orbit,
@@ -44,8 +44,7 @@ from .pairgroup import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CanonResult:
+class CanonResult(_Value):
     """Canonical vector, the frame reaching it, and the input's stabilizer Aut.
 
     Aut is held as its twin classes and a chain of its action on them.  Two
@@ -54,10 +53,15 @@ class CanonResult:
     groups.
     """
 
-    canonical: EdgeVector
-    frame: VertexPermutation
-    group: _Group = field(repr=False)
-    max_n: int = DEFAULT_MAX_N
+    __slots__ = ("canonical", "frame", "group", "max_n", "__dict__")  # __dict__: cached properties
+    _fields = ("canonical", "frame", "max_n")
+    _key = property(attrgetter("canonical", "frame", "generators"))
+
+    def __init__(
+        self, canonical: EdgeVector, frame: VertexPermutation, group: _Group, max_n: int = DEFAULT_MAX_N
+    ):
+        for name, value in zip(self.__slots__, (canonical, frame, group, max_n)):
+            object.__setattr__(self, name, value)
 
     @property
     def aut_order(self) -> int:
@@ -87,15 +91,6 @@ class CanonResult:
         return frozenset(
             VertexPermutation._from_images(tuple(v + 1 for v in a)) for a in self.group.elements()
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonResult):
-            return NotImplemented
-        mine = (self.canonical, self.frame, self.generators)
-        return mine == (other.canonical, other.frame, other.generators)
-
-    def __hash__(self):
-        return hash((self.canonical, self.frame))
 
 
 def _result(

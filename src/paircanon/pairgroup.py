@@ -17,13 +17,12 @@ rule for an exact literal each have one definition here; composition gathers.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import chain, permutations, starmap
 from math import factorial, prod
-from operator import index, itemgetter
-from typing import Collection, Iterable
+from operator import attrgetter, index, itemgetter
 
 #: Default bound on n for operations that enumerate all n! group elements.
 DEFAULT_MAX_N = 8
@@ -71,15 +70,44 @@ def _exact(value) -> Fraction:
     return w
 
 
-@dataclass(frozen=True, order=True)
-class VertexPermutation:
+class _Value:
+    """An immutable value: ``__init__`` sets each slot once, by ``object.__setattr__``;
+    ``repr`` shows the ``_fields``; one class's instances compare and hash by ``_key``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots this way
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+@total_ordering
+class VertexPermutation(_Value):
     """A bijection of {1..n} in one-line notation: images[i-1] is the image of i.
-    Images are read by ``operator.index``: a float or a string raises TypeError."""
+    Images are read by ``operator.index``: a float or a string raises TypeError.
+    Permutations are ordered by their images."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
+    _key = property(attrgetter("images"))
 
-    def __post_init__(self):
-        images = tuple(map(index, self.images))
+    def __init__(self, images: Iterable[int]):
+        images = tuple(map(index, images))
         object.__setattr__(self, "images", images)
         n = len(images)
         if n < 1 or sorted(images) != list(range(1, n + 1)):
@@ -105,23 +133,25 @@ class VertexPermutation:
     def inverse(self) -> VertexPermutation:
         return VertexPermutation._from_images(_scatter(range(1, self.n + 1), self.images))
 
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
 
-@dataclass(frozen=True)
-class EdgeVector:
+
+class EdgeVector(_Value):
     """Edge weights of a graph on n >= 3 vertices, in lexicographic pair order.
 
     Weights are exact rationals; a simple graph is the special case where
     every weight is 0 or 1.  n is read by ``operator.index``, as images are.
     """
 
-    n: int
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("n", "weights")
+    _key = property(attrgetter("n", "weights"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
+    def __init__(self, n: int, weights: Iterable):
+        object.__setattr__(self, "n", index(n))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
-        weights = tuple(_exact(w) for w in self.weights)
+        weights = tuple(_exact(w) for w in weights)
         m = self.n * (self.n - 1) // 2
         if len(weights) != m:
             raise ValueError(
@@ -166,19 +196,19 @@ def _induced_index_map(images: tuple[int, ...], n: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class PairAction:
+class PairAction(_Value):
     """The edge-position permutation induced by relabeling vertices by `source`.
 
     ``index_map[s-1]`` is where position s lands: the position holding the
     pair (i, j) is sent to the position of {source(i), source(j)}.  The map is
-    derived from ``source`` once, at construction.
+    derived from ``source`` once, at construction; actions compare by source.
     """
 
-    source: VertexPermutation
-    index_map: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = _fields = ("source", "index_map")
+    _key = property(attrgetter("source"))
 
-    def __post_init__(self):
+    def __init__(self, source: VertexPermutation):
+        object.__setattr__(self, "source", source)
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
         object.__setattr__(
@@ -469,4 +499,7 @@ def generating_set(perms: Collection[VertexPermutation]) -> list[VertexPermutati
     if not perms:
         raise ValueError("empty permutation collection")
     gens = [tuple(v - 1 for v in p.images) for p in perms]
+    for g in gens:
+        if len(g) != len(gens[0]):
+            raise ValueError(f"degree mismatch: {len(gens[0])} vs {len(g)}")
     return _Group(len(gens[0]), gens).greedy_generators()

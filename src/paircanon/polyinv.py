@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from operator import index
-from typing import Mapping
 
 from .pairgroup import (
     DEFAULT_MAX_N,

@@ -8,20 +8,20 @@ plain polynomial in them, so nothing algebraic is lost by sorting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .pairgroup import VertexPermutation, _exact, _scatter
+from .pairgroup import VertexPermutation, _Value, _exact, _scatter
 
 
-@dataclass(frozen=True)
-class PointVector:
+class PointVector(_Value):
     """A nonempty vector of exact rationals acted on by permuting coordinates."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = _fields = ("values",)
+    _key = property(attrgetter("values"))
 
-    def __post_init__(self):
-        values = tuple(_exact(v) for v in self.values)
+    def __init__(self, values):
+        values = tuple(_exact(v) for v in values)
         if not values:
             raise ValueError("empty vector")
         object.__setattr__(self, "values", values)

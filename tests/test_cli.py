@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import paircanon
-from paircanon.cli import build_parser, main, run
+from paircanon.cli import _command_parser, build_parser, main, run
 from paircanon.frame import CanonResult, canonical_form_pruned
 from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6
 from paircanon.pairgroup import (
@@ -207,7 +207,7 @@ def test_reynolds_over_limit_exits_3(capsys):
 
 def test_reynolds_far_over_limit_exits_3_before_allocating(capsys):
     # n=3000 has 4498500 pairs and 3000! has 9131 digits; neither is built
-    build_parser()
+    _command_parser("reynolds")
     tracemalloc.start()
     try:
         code = main(["reynolds", "x1", "3000"])
@@ -325,7 +325,7 @@ def test_usage_errors_name_the_command(capsys):
 @pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["bogus"], 2)])
 def test_without_a_command_the_top_level_parser_answers(argv, code, capsys):
     outputs = []
-    for parse in (build_parser()[0].parse_args, main):
+    for parse in (build_parser().parse_args, main):
         with pytest.raises(SystemExit) as exc:
             parse(argv)
         outputs.append((exc.value.code, *capsys.readouterr()))
@@ -595,3 +595,24 @@ def test_canon_does_not_load_polyinv_or_sortframe():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[1:] == ["[]", "reynolds sort_frame"]
+
+
+def test_graph_command_loads_no_dataclasses_pathlib_typing_or_inspect(p4_file):
+    # they cost more import time than a small graph's canonization; without
+    # site, nothing but paircanon could load them
+    code = (
+        "import sys, paircanon.cli; paircanon.cli.main(['canon', '--json', sys.argv[1]]); "
+        "print(sorted({'dataclasses', 'pathlib', 'typing', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(paircanon.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, p4_file],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    canon, loaded = run.stdout.splitlines()
+    assert json.loads(canon)["aut_order"] == 2
+    assert loaded == "[]"

@@ -391,6 +391,14 @@ def test_generating_set_trivial_group():
     assert generating_set([VertexPermutation((1, 2, 3, 4))]) == []
 
 
+def test_generating_set_degree_mismatch():
+    # as in compose: the first permutation's degree, then the other's
+    three, two = VertexPermutation((1, 2, 3)), VertexPermutation((2, 1))
+    for perms, message in (([three, two], "3 vs 2"), ([two, three], "2 vs 3")):
+        with pytest.raises(ValueError, match=f"^degree mismatch: {message}$"):
+            generating_set(perms)
+
+
 def _random_subgroup_generators(rng, n):
     """1-3 random permutations, each moving a random subset of the points."""
     gens = []
