@@ -90,6 +90,8 @@ def cmd_canon(args: argparse.Namespace) -> Output:
 
 
 def cmd_iso(args: argparse.Namespace) -> Output:
+    if args.a == args.b == "-":  # the second read of stdin would find it empty
+        raise ValueError("only one of the two inputs can be `-` (stdin)")
     x = _read_graph(args.a, args.format)
     y = _read_graph(args.b, args.format)
     found, witness = is_isomorphic(x, y)

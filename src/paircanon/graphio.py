@@ -20,7 +20,7 @@ from .pairgroup import EdgeVector, _exact, _row_offsets, _scatter, _texts
 
 _G6_HEADER = ">>graph6<<"
 
-MAX_VERTICES = 3000  #: largest ``n <count>`` accepted: parsing at the limit peaks near 84 MB
+MAX_VERTICES = 3000  #: largest ``n <count>`` accepted: a one-edge text at it peaks near 86 MB
 
 
 class ParseError(ValueError):
@@ -37,38 +37,51 @@ def parse_weighted(text: str) -> EdgeVector:
     ``#`` starts a comment, blank lines are skipped, and pairs not listed get
     weight 0.
     """
-    n: int | None = None
-    seen: dict[int, int] = {}  # position -> line that set it
-    exact: dict[str, Fraction] = {}  # literal -> its value
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    numbered = enumerate(lines, start=1)
+    for top, line in numbered:
         fields = line.split()
-        if not fields:
-            continue
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise ParseError("expected header `n <count>`", lineno)
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count: {fields[1]!r}", lineno) from None
-            if n < 3:
-                raise ParseError(f"need at least 3 vertices, got {n}", lineno)
-            if n > MAX_VERTICES:
-                raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno)
-            weights = [Fraction(0)] * (n * (n - 1) // 2)
-            start = _row_offsets(n)
-            continue
-        if len(fields) != 3:
-            raise ParseError(f"expected `i j w`, got {line.strip()!r}", lineno)
-        a, b, literal = fields
+        if fields:
+            break
+    else:
+        raise ParseError("empty input: missing `n <count>` header")
+    if len(fields) != 2 or fields[0] != "n":
+        raise ParseError("expected header `n <count>`", top)
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise ParseError(f"bad vertex count: {fields[1]!r}", top) from None
+    if n < 3:
+        raise ParseError(f"need at least 3 vertices, got {n}", top)
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", top)
+    # no weight read is this object, a literal 0 included: it is made here, and
+    # `_exact` returns a new Fraction per literal; so a position still holding it
+    # was set by no earlier line, and duplicates need no table of lines
+    unset = Fraction(0)
+    weights = [unset] * (n * (n - 1) // 2)
+    start = [s - 1 for s in _row_offsets(n)]  # start[i] + j indexes weights
+    labels = {str(v): v for v in range(1, n + 1)}  # other spellings go to int()
+    exact: dict[str, Fraction] = {}  # literal -> its value
+    for lineno, line in numbered:
         try:
-            i, j = int(a), int(b)
+            a, b, literal = line.split()
         except ValueError:
-            raise ParseError(f"bad vertex label in {line.strip()!r}", lineno) from None
-        if not 1 <= i < j <= n:
+            if line.split():
+                raise ParseError(f"expected `i j w`, got {line.strip()!r}", lineno) from None
+            continue
+        try:
+            i, j = labels[a], labels[b]
+        except KeyError:
+            try:
+                i, j = int(a), int(b)
+            except ValueError:
+                raise ParseError(f"bad vertex label in {line.strip()!r}", lineno) from None
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ParseError(f"vertex label out of range 1..{n}: ({i}, {j})", lineno)
+        if i >= j:
             raise ParseError(f"need i < j, got ({i}, {j})", lineno)
         w = exact.get(literal)
         if w is None:
@@ -77,12 +90,11 @@ def parse_weighted(text: str) -> EdgeVector:
             except ValueError:
                 raise ParseError(f"bad weight literal: {literal!r}", lineno) from None
         s = start[i] + j
-        first = seen.setdefault(s, lineno)
-        if first != lineno:
+        if weights[s] is not unset:  # set by an earlier line, which is found again
+            first = next(k for k in range(top + 1, lineno)
+                         if [*map(int, lines[k - 1].split()[:2])] == [i, j])
             raise ParseError(f"duplicate pair ({i}, {j}), first set on line {first}", lineno)
-        weights[s - 1] = w
-    if n is None:
-        raise ParseError("empty input: missing `n <count>` header")
+        weights[s] = w
     return EdgeVector._from_exact(n, tuple(weights))
 
 

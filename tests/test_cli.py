@@ -126,6 +126,16 @@ def test_iso_mismatched_sizes_is_input_error(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_iso_refuses_stdin_twice_before_reading_it(capsys, monkeypatch):
+    stdin = io.StringIO(P4_TEXT)
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["iso", "-", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: only one of the two inputs can be `-` (stdin)\n"
+    assert stdin.tell() == 0
+
+
 # ------------------------------------------------------- aut / orbit / inv
 
 

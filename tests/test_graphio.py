@@ -115,6 +115,25 @@ def test_parse_accepts_a_vertex_count_at_the_limit():
     assert sum(1 for w in x.weights if w) == 1
 
 
+def test_parse_a_dense_text_in_bounded_memory():
+    # all 124750 pairs of n = 500 listed: the peak is the text's lines plus the
+    # weights (9.9 MiB traced); a table of the line that set each pair added
+    # more than both (21.4 MiB).  n = 500, not 1000, because tracemalloc slows
+    # this parse about 35-fold.
+    n, values = 500, ["0", "1/3", "-2"]
+    pairs = list(combinations(range(1, n + 1), 2))
+    text = "".join([f"n {n}\n", *(f"{i} {j} {values[(i * j) % 3]}\n" for i, j in pairs)])
+    tracemalloc.start()
+    try:
+        x = parse_weighted(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 << 20
+    assert set(x.weights) == {0, Fraction(1, 3), -2}
+    assert x.weights[-1] == Fraction(values[(499 * 500) % 3])
+
+
 # ---------------------------------------------------------- weighted: emit
 
 

@@ -43,6 +43,15 @@ SEPARATORS = [" ", "\t", "  ", " \t "]
 TRAILERS = ["", " ", "# note", "  # note", "#"]
 
 
+#: U+0660..U+0669, the Arabic-Indic digits, which int() reads as 0..9
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _spelled(v):
+    """Vertex label v as written: mostly ``str(v)``, else a spelling int() reads as v."""
+    return st.sampled_from([str(v)] * 4 + [f"0{v}", f"+{v}", str(v).translate(_ARABIC_INDIC)])
+
+
 def _outcome(parse, text):
     """(True, n, weights) for a parse, (False, line, message) for a ParseError."""
     try:
@@ -63,14 +72,21 @@ def edge_lists(draw):
     )
     lines = draw(st.lists(st.sampled_from(["", "# comment", "   "]), max_size=2))
     lines.append(header)
+    pairs = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.integers(0, 9))
+        kind = draw(st.integers(0, 10))
         sep = draw(st.sampled_from(SEPARATORS))
-        if kind <= 5:  # a valid line; pairs may repeat, which is an error
-            i = draw(st.integers(1, n - 1))
-            j = draw(st.integers(i + 1, n))
-            fields = [str(i), str(j), draw(st.sampled_from(draw(st.sampled_from(SPELLINGS))))]
-        elif kind == 6:
+        if kind <= 5 or (kind == 10 and pairs):  # a valid line; a repeated pair is an error
+            if kind == 10:  # an earlier pair again, after blank and comment lines
+                i, j = draw(st.sampled_from(pairs))
+                lines += draw(st.lists(st.sampled_from(["", "# between", " \t"]), max_size=3))
+            else:
+                i = draw(st.integers(1, n - 1))
+                j = draw(st.integers(i + 1, n))
+                pairs.append((i, j))
+            literal = draw(st.sampled_from(draw(st.sampled_from(SPELLINGS))))
+            fields = [draw(_spelled(i)), draw(_spelled(j)), literal]
+        elif kind in (6, 10):
             lines.append(draw(st.sampled_from(["", "#", "  # only a comment", "\t"])))
             continue
         elif kind == 7:  # labels out of range, in the wrong order, or not numbers
@@ -110,6 +126,12 @@ def test_parse_weighted_matches_the_line_by_line_reference(text):
         "n 4\n1 2\n",
         "n 4\n1 x 1 # c\n",
         "# nothing here\n",
+        "n 4\r\n1 2 1\r\n3 4 x\r\n",
+        "n 4\r\n1 2 1\r\n\r\n01 +2 1/2\r\n",
+        "n 4\x0c1 2 1\x0c1 2 1\n",
+        "n 4\u20281 3 1\u2028\u20283 1 1\n",
+        "# a comment\n\n  # another\nn 4\n1 2 1\n2 3 1 # c\n# c\n02 3 1\n",
+        "# a comment\n# n 4\n1 2 1\n",
     ],
 )
 def test_parse_errors_match_the_reference(text):
