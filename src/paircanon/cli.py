@@ -47,6 +47,7 @@ def _read_graph(path: str, fmt: str) -> EdgeVector:
     else:
         with open(path, encoding="utf-8") as f:
             text = f.read()
+    text = text.removeprefix("\ufeff")  # the byte-order mark some Windows editors write
     return parse_weighted(text) if fmt == "weighted" else parse_graph6(text)
 
 

@@ -91,6 +91,18 @@ def test_canon_graph6_format(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "canonical 0 0 1 1 0 1"
 
 
+@pytest.mark.parametrize("fmt", ["weighted", "graph6"])
+def test_a_leading_byte_order_mark_is_skipped(fmt, tmp_path, capsys, monkeypatch):
+    # Windows editors may start a UTF-8 file with U+FEFF
+    text = P4_TEXT if fmt == "weighted" else emit_graph6(P4) + "\n"
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    for source in (str(path), "-"):
+        assert main(["canon", "--format", fmt, source]) == 0
+        assert capsys.readouterr().out.startswith("canonical 0 0 1 1 0 1\n")
+
+
 # ------------------------------------------------------------------- iso
 
 
