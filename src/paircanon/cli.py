@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 `iso` found the graphs non-isomorphic, 2 input or
 parse error or recursion limit, 3 group-size limit, a group or orbit size of
-more than 4300 digits, or out of memory.  Each command returns its exit code,
-JSON payload and text lines, the two built on demand; ``main`` alone prints,
-only after the command has built all of its output, so an error prints one
-``error:`` line on stderr, never a traceback, and nothing on stdout.  The
+more than 4300 digits, or out of memory, 141 (128 + SIGPIPE, no ``error:``
+line) when the reader closes stdout early.  Each command returns its exit
+code, JSON payload and text lines, the two built on demand; ``main`` alone
+prints, only after the command has built all of its output, so an error prints
+one ``error:`` line on stderr, never a traceback, and nothing on stdout.  The
 polyinv and sortframe modules are imported by the commands that use them, so
 a graph command does not load them: it loads frame, graphio, pairgroup and
 their stdlib imports (argparse, fractions, functools, itertools, math,
@@ -16,6 +17,7 @@ its own command's parser.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Iterable
 from functools import cache
@@ -29,13 +31,13 @@ from .pairgroup import (
     GroupSizeError,
     _UNPRINTABLE,
     _check_enumerable,
-    _texts,
 )
 
 EXIT_OK = 0
 EXIT_NOT_ISOMORPHIC = 1
 EXIT_PARSE = 2
 EXIT_SIZE = 3
+EXIT_PIPE = 141  #: what a shell reports for a program stopped by SIGPIPE
 
 #: a command's exit code, JSON payload and text lines; only the printed form is built
 Output = tuple[int, Callable[[], dict], Callable[[], Iterable[str]]]
@@ -70,7 +72,7 @@ def _canonize(args: argparse.Namespace, **options) -> CanonResult:
 def cmd_canon(args: argparse.Namespace) -> Output:
     result = _canonize(args, engine=args.engine, max_n=args.max_n)
     order = _printable(result.aut_order, "the automorphism group's order")
-    canonical = _texts(result.canonical.weights)
+    canonical = result.canonical._strings()
     generators = [g.images for g in result.generators]
     return (
         EXIT_OK,
@@ -121,7 +123,7 @@ def cmd_orbit(args: argparse.Namespace) -> Output:
 
 
 def cmd_invariants(args: argparse.Namespace) -> Output:
-    invariants = _texts(_canonize(args).canonical.weights)
+    invariants = _canonize(args).canonical._strings()
     return EXIT_OK, lambda: {"invariants": invariants}, lambda: [" ".join(invariants)]
 
 
@@ -201,7 +203,6 @@ _ARGUMENTS = {
     "--max-n": dict(
         type=int,
         default=DEFAULT_MAX_N,
-        dest="max_n",
         help=f"limit for full group enumeration (default: {DEFAULT_MAX_N})",
     ),
     "input": dict(help="input path, or - for stdin"),
@@ -277,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("\n".join(lines()))
         return code
+    except BrokenPipeError:  # the reader left: the rest, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (GroupSizeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE

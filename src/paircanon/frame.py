@@ -9,9 +9,9 @@ smallest element once Aut is known.  Two vectors have equal canonical forms
 exactly when one is a relabeling of the other, so the canonical coordinates
 are a complete isomorphism invariant.
 
-Two engines compute the same result: a brute-force minimum over all n!
-relabelings (the oracle, bounded by ``max_n``) and a row-refinement search
-over the integer ranks of the weights, in which each label settles one row.
+Two engines compute the same result from the vector's ranks: a brute-force
+minimum over all n! relabelings (the oracle, bounded by ``max_n``) and a
+row-refinement search, in which each label settles one row.
 The search records the automorphisms it meets and prunes with them, so it
 visits far fewer leaves than |Aut|.  Twins, vertices with equal weights to
 every other vertex, are found before the search branches: each class's
@@ -25,9 +25,8 @@ as the twin classes and a chain of the found automorphisms' action on them
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter, mul
 
 from .pairgroup import (
@@ -60,8 +59,7 @@ class CanonResult(_Value):
     def __init__(
         self, canonical: EdgeVector, frame: VertexPermutation, group: _Group, max_n: int = DEFAULT_MAX_N
     ):
-        for name, value in zip(self.__slots__, (canonical, frame, group, max_n)):
-            object.__setattr__(self, name, value)
+        self._set(canonical=canonical, frame=frame, group=group, max_n=max_n)
 
     @property
     def aut_order(self) -> int:
@@ -96,33 +94,21 @@ class CanonResult(_Value):
 def _result(
     x: EdgeVector, canonical, frame, automorphisms: list[tuple], max_n: int, classes=None
 ) -> CanonResult:
-    """The result for a minimizer and automorphisms, 0-based, and the twin
-    classes: Aut is the group they generate, the frame the least of frame.Aut."""
+    """The result for a minimizer's ranks and frame and automorphisms, 0-based, and
+    the twin classes: Aut is the group they generate, the frame the least of frame.Aut."""
     group = _Group(x.n, automorphisms, classes)
     return CanonResult(
-        EdgeVector._from_exact(x.n, canonical),
+        EdgeVector._from_ranks(x.n, x.levels, canonical),
         VertexPermutation._from_images(tuple(v + 1 for v in group.coset_min(frame))),
         group,
         max_n,
     )
 
 
-def _ranks(x: EdgeVector) -> tuple[tuple[int, ...], list[Fraction]]:
-    """Each weight's integer rank, ordered as the weights are, and the distinct weights."""
-    # Fraction hashing and comparison run in Python: key by (numerator,
-    # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
-    keys = [w.as_integer_ratio() for w in x.weights]
-    distinct = sorted(
-        dict(zip(keys, x.weights)).items(), key=lambda kw: ((kw[0][0] << 64) // kw[0][1], kw[1])
-    )
-    rank_of = {k: r for r, (k, _) in enumerate(distinct)}
-    return tuple(map(rank_of.__getitem__, keys)), [w for _, w in distinct]
-
-
 def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonResult:
     """Minimize over all n! relabelings; only viable within the enumeration limit."""
     _check_enumerable(x.n, max_n)
-    ranks, levels = _ranks(x)
+    ranks = x.ranks
     # the identity starts the minimum; first in the table, it heads the stabilizer
     best, best_images = ranks, tuple(range(1, x.n + 1))
     stabilizer = []
@@ -134,9 +120,8 @@ def canonical_form_bruteforce(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> Cano
             best, best_images = y, images
         if y == ranks:
             stabilizer.append(images)
-    canonical = tuple(map(levels.__getitem__, best))
     frame = tuple(v - 1 for v in best_images)
-    return _result(x, canonical, frame, _coset_leaders(stabilizer), max_n)
+    return _result(x, best, frame, _coset_leaders(stabilizer), max_n)
 
 
 def _coset_leaders(group: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -188,13 +173,12 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     the weights, with an explicit stack.
     """
     n = x.n
-    ranks, levels = _ranks(x)
     R = [[0] * n for _ in range(n)]
-    for (i, j), r in zip(combinations(range(n), 2), ranks):
+    for (i, j), r in zip(combinations(range(n), 2), x.ranks):
         R[i][j] = R[j][i] = r
 
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
-    top = (len(levels),)  # above every row, since every rank is below len(levels)
+    top = (len(x.levels),)  # above every row, since every rank is below len(levels)
     # rows of the incumbent, or of a prefix that beat it followed by top rows;
     # at every node its first depth rows are the current branch's
     best: list[tuple[int, ...]] = [top] * (n - 1)
@@ -217,7 +201,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
                 tried[depth] = (len(automorphisms), fixing, seen)
             if v in seen:
                 continue
-            seen.update(_orbit(twin_of[v], fixing))
+            if stack and stack[-1][0] == depth:  # a sibling is left to skip
+                seen.update(_orbit(twin_of[v], fixing))
             order[depth - 1] = v
         if len(cells) == n - depth or len(classes) < n and all(
             all(twin_of[w] is twin_of[cell[0]] for w in cell) for cell in cells
@@ -244,9 +229,8 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
         tried[depth + 1] = (0, [], set())
         stack += [(depth + 1, u, child_cells) for u, child_cells in kept]
 
-    canonical = tuple(levels[r] for best_row in best for r in best_row)
     frame = _scatter(range(n), [u + 1 for u in best_order])
-    return _result(x, canonical, frame, automorphisms, max_n, classes)
+    return _result(x, tuple(chain.from_iterable(best)), frame, automorphisms, max_n, classes)
 
 
 def _children(R: list[list[int]], cells: list[list[int]], twin_of: list[list[int]]):

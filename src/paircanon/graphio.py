@@ -2,16 +2,17 @@
 
 The text format is a ``n <count>`` header, at most MAX_VERTICES and checked
 before anything is allocated, followed by ``i j w`` lines with exact weight
-literals (integers, fractions ``p/q``, or decimal strings, all converted
-exactly, each distinct literal once per parse) read by the one rule of
-``pairgroup._exact``, which reads integers and ``p/q`` of up to 4300
+literals (integers, fractions ``p/q``, or decimal strings) read by the one
+rule of ``pairgroup._exact``, which reads integers and ``p/q`` of up to 4300
 characters with ``int()``, refuses a decimal exponent beyond +-4300 and a
-value CPython cannot print.  graph6 is supported bit-exactly for simple
-graphs up to the same MAX_VERTICES, so output can be exchanged with the
-usual canonical-labeling tools.  Its bit order is the transpose of the pair
-order, so both codecs translate with stepped string slices and pack six bits
-a byte through base64: a dense n = 3000 string parses in about 0.15 s and
-encodes in about 0.25 s, peaking near 98 MB resident (CPython 3.11).
+value CPython cannot print.  Each distinct literal is converted once, and
+the distinct values are ranked once into the vector's levels; the writers
+print one text per level.  graph6 is supported bit-exactly for simple graphs
+up to the same MAX_VERTICES, so output can be exchanged with the usual
+canonical-labeling tools.  Its bit order is the transpose of the pair order,
+so both codecs translate with stepped string slices and pack six bits a byte
+through base64: a dense n = 3000 string parses and encodes in about 0.1 s
+each, peaking near 82 MB resident (CPython 3.11).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 import binascii
 from fractions import Fraction
 
-from .pairgroup import EdgeVector, _exact, _row_offsets, _texts
+from .pairgroup import _BITS, EdgeVector, _exact, _rank, _row_offsets
 
 _G6_HEADER = ">>graph6<<"
 
-MAX_VERTICES = 3000  #: largest ``n <count>`` accepted: a one-edge text at it peaks near 86 MB
+MAX_VERTICES = 3000  #: largest ``n <count>`` accepted: a one-edge text at it peaks near 90 MB
 
 
 class ParseError(ValueError):
@@ -60,14 +61,11 @@ def parse_weighted(text: str) -> EdgeVector:
         raise ParseError(f"need at least 3 vertices, got {n}", top)
     if n > MAX_VERTICES:
         raise ParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", top)
-    # no weight read is this object, a literal 0 included: it is made here, and
-    # `_exact` returns a new Fraction per literal; so a position still holding it
-    # was set by no earlier line, and duplicates need no table of lines
-    unset = Fraction(0)
-    weights = [unset] * (n * (n - 1) // 2)
-    start = [s - 1 for s in _row_offsets(n)]  # start[i] + j indexes weights
+    numbers = [-1] * (n * (n - 1) // 2)  # each pair's literal number; -1: not set
+    start = [s - 1 for s in _row_offsets(n)]  # start[i] + j indexes numbers
     labels = {str(v): v for v in range(1, n + 1)}  # other spellings go to int()
-    exact: dict[str, Fraction] = {}  # literal -> its value
+    number_of: dict[str, int] = {}  # literal -> its number, in order of first use
+    values: list[Fraction] = []  # each numbered literal's value
     for lineno, line in numbered:
         try:
             a, b, literal = line.split()
@@ -86,24 +84,28 @@ def parse_weighted(text: str) -> EdgeVector:
                 raise ParseError(f"vertex label out of range 1..{n}: ({i}, {j})", lineno)
         if i >= j:
             raise ParseError(f"need i < j, got ({i}, {j})", lineno)
-        w = exact.get(literal)
-        if w is None:
+        num = number_of.get(literal)
+        if num is None:
+            num = number_of[literal] = len(values)
             try:
-                w = exact[literal] = _exact(literal)
+                values.append(_exact(literal))
             except ValueError:
                 raise ParseError(f"bad weight literal: {literal!r}", lineno) from None
         s = start[i] + j
-        if weights[s] is not unset:  # set by an earlier line, which is found again
+        if numbers[s] >= 0:  # set by an earlier line, which is found again
             first = next(k for k in range(top + 1, lineno)
                          if [*map(int, lines[k - 1].split()[:2])] == [i, j])
             raise ParseError(f"duplicate pair ({i}, {j}), first set on line {first}", lineno)
-        weights[s] = w
-    return EdgeVector._from_exact(n, tuple(weights))
+        numbers[s] = num
+    if -1 in numbers:
+        values.append(Fraction(0))  # number -1, the pairs not listed
+    rank_of, levels = _rank(values)
+    return EdgeVector._from_ranks(n, levels, tuple(map(rank_of.__getitem__, numbers)))
 
 
 def emit_weighted(x: EdgeVector) -> str:
     """Canonical text form: header plus the nonzero edges in pair order."""
-    n, texts = x.n, _texts(x.weights)
+    n, texts = x.n, x._strings()
     lines = [f"n {n}"]
     label = [f"{v} " for v in range(n + 1)]
     for i, s in enumerate(_row_offsets(n)[1:], start=1):
@@ -155,24 +157,16 @@ def emit_graph6(x: EdgeVector) -> str:
     (1,4),..., pairs grouped by their larger endpoint, while this package's
     pair order lists the same upper triangle row by row: the translation is
     a transpose, one stepped slice per column, with no table of bit
-    positions.  A dense n = 3000 graph encodes in about 0.25 s.
+    positions.
     """
-    n, weights = x.n, x.weights
-    bits = []
-    one = zero = None  # weight objects already found equal to 1 and to 0
-    for w in weights:
-        if w is not one and w is not zero:
-            if w == 1:
-                one = w
-            elif w == 0:
-                zero = w
-            else:  # name the first such pair in graph6 order
-                start = _row_offsets(n)
-                i, j = next((i, j) for j in range(2, n + 1) for i in range(1, j)
-                            if weights[start[i] + j - 1] not in (0, 1))
-                raise ValueError(f"non-simple weight {weights[start[i] + j - 1]} at edge {(i, j)}")
-        bits.append("1" if w is one else "0")
-    bits = "".join(bits)  # rebound, so the list of m strings is freed at once
+    n, levels = x.n, x.levels
+    if levels not in (_BITS[:1], _BITS[1:], _BITS):  # name the first pair of another weight
+        weights, start = x.weights, _row_offsets(n)
+        i, j = next((i, j) for j in range(2, n + 1) for i in range(1, j)
+                    if weights[start[i] + j - 1] not in (0, 1))
+        raise ValueError(f"non-simple weight {weights[start[i] + j - 1]} at edge {(i, j)}")
+    text = bytes.maketrans(b"\0\1", b"11" if levels[0] else b"01")  # K_n's one level is 1
+    bits = bytes(x.ranks).translate(text).decode()
     m = len(bits)
     # row i's n - i pairs, right-aligned in n - 1 characters: (i, j) at column j - 2
     grid = "".join([bits[s + i : s + n].rjust(n - 1)
@@ -209,5 +203,4 @@ def parse_graph6(text: str) -> EdgeVector:
     grid = "".join([bits[k * (k + 1) // 2 : (k + 1) * (k + 2) // 2].ljust(n - 1)
                     for k in range(n - 1)])
     pairs = "".join([grid[r * n :: n - 1] for r in range(n - 1)])
-    values = {"0": Fraction(0), "1": Fraction(1)}
-    return EdgeVector._from_exact(n, tuple(map(values.__getitem__, pairs)))
+    return EdgeVector._from_bits(n, pairs.encode().translate(bytes.maketrans(b"01", b"\0\1")))

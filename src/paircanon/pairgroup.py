@@ -11,7 +11,7 @@ chain of its action on the classes; its greedy generating set is read level
 by level from the two.  The pair order, the scatter that moves a vector's
 entries where a permutation sends them, the group operations, the list of all
 n! relabelings, whose getters gather in C what that scatter moves, and the
-rule for an exact literal each have one definition here; composition gathers.
+rules for an exact literal and a weight's rank each have one definition here.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class GroupSizeError(ValueError):
 
 MAX_EXPONENT = 4300  #: largest decimal exponent: CPython's default int-str digit limit
 _UNPRINTABLE = 10**MAX_EXPONENT  #: smallest integer with more than MAX_EXPONENT digits
+_BITS = (Fraction(0), Fraction(1))  #: the levels of a simple graph with both bits
 
 
 def _exact(value) -> Fraction:
@@ -71,10 +72,16 @@ def _exact(value) -> Fraction:
 
 
 class _Value:
-    """An immutable value: ``__init__`` sets each slot once, by ``object.__setattr__``;
-    ``repr`` shows the ``_fields``; one class's instances compare and hash by ``_key``."""
+    """An immutable value: ``__init__`` sets each slot once, by ``_set``; ``repr``
+    shows the ``_fields``; one class's instances compare and hash by ``_key``."""
 
     __slots__ = ()
+
+    def _set(self, **fields):
+        """Set the named slots; returns self, so ``object.__new__(cls)._set(...)`` builds."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -83,8 +90,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):  # copy and pickle restore the slots this way
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+        self._set(**state[1])
 
     def __eq__(self, other):
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
@@ -107,18 +113,15 @@ class VertexPermutation(_Value):
     _key = property(attrgetter("images"))
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(map(index, images))
-        object.__setattr__(self, "images", images)
-        n = len(images)
-        if n < 1 or sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self._set(images=tuple(map(index, images)))
+        n = len(self.images)
+        if n < 1 or sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @classmethod
     def _from_images(cls, images: tuple[int, ...]) -> VertexPermutation:
         """A permutation of 1..n from a tuple of int images known to be one, unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
+        return object.__new__(cls)._set(images=images)
 
     @property
     def n(self) -> int:
@@ -142,30 +145,56 @@ class EdgeVector(_Value):
 
     Weights are exact rationals; a simple graph is the special case where
     every weight is 0 or 1.  n is read by ``operator.index``, as images are.
+    Held as ``levels``, the distinct weights ascending, and ``ranks`` into them.
     """
 
-    __slots__ = _fields = ("n", "weights")
-    _key = property(attrgetter("n", "weights"))
+    __slots__ = ("n", "levels", "ranks")
+    _fields = ("n", "weights")
+    _key = property(attrgetter("n", "levels", "ranks"))
 
     def __init__(self, n: int, weights: Iterable):
-        object.__setattr__(self, "n", index(n))
+        self._set(n=index(n))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
-        weights = tuple(_exact(w) for w in weights)
+        weights = [_exact(w) for w in weights]
         m = self.n * (self.n - 1) // 2
         if len(weights) != m:
-            raise ValueError(
-                f"expected {m} weights for n={self.n}, got {len(weights)}"
-            )
-        object.__setattr__(self, "weights", weights)
+            raise ValueError(f"expected {m} weights for n={self.n}, got {len(weights)}")
+        ranks, levels = _rank(weights)
+        self._set(levels=levels, ranks=tuple(ranks))
 
     @classmethod
-    def _from_exact(cls, n: int, weights: tuple[Fraction, ...]) -> EdgeVector:
-        """An edge vector of C(n,2) weights that are already ``Fraction``s, unchecked."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "n", n)
-        object.__setattr__(x, "weights", weights)
-        return x
+    def _from_ranks(cls, n: int, levels: tuple, ranks: tuple[int, ...]) -> EdgeVector:
+        """An edge vector from its levels, ascending ``Fraction``s, and ranks, unchecked."""
+        return object.__new__(cls)._set(n=n, levels=levels, ranks=ranks)
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: bytes) -> EdgeVector:
+        """The simple graph whose C(n,2) edge bits, 0 or 1 in pair order, are ``bits``."""
+        if 0 not in bits:  # K_n: every pair at the one level, 1
+            return cls._from_ranks(n, _BITS[1:], (0,) * len(bits))
+        return cls._from_ranks(n, _BITS if 1 in bits else _BITS[:1], tuple(bits))
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The C(n,2) weights in pair order, as a new tuple on each access."""
+        return itemgetter(*self.ranks)(self.levels)
+
+    def _strings(self) -> tuple[str, ...]:
+        """Each weight's text in pair order, built once per level."""
+        return itemgetter(*self.ranks)([str(w) for w in self.levels])
+
+
+def _rank(values: list[Fraction]) -> tuple[list[int], tuple[Fraction, ...]]:
+    """Each value's rank among the distinct values, and those values ascending."""
+    # Fraction hashing and comparison run in Python: key by (numerator,
+    # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
+    keys = [w.as_integer_ratio() for w in values]
+    distinct = dict(zip(keys, values))
+    floors = [(p << 64) // q for p, q in distinct]
+    _, levels, ordered = zip(*sorted(zip(floors, distinct.values(), distinct)))
+    rank_of = dict(zip(ordered, range(len(ordered))))
+    return list(map(rank_of.__getitem__, keys)), levels
 
 
 def _scatter(values, index_map) -> tuple:
@@ -189,11 +218,11 @@ def _row_offsets(n: int) -> list[int]:
 def _induced_index_map(images: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Position map induced by a vertex relabeling given in one-line notation."""
     start = _row_offsets(n)
-    return tuple(
+    return tuple([  # from a list, not a generator: a sixth faster at n = 295
         start[a] + b if a < b else start[b] + a
         for i, a in enumerate(images)
         for b in images[i + 1 :]
-    )
+    ])
 
 
 class PairAction(_Value):
@@ -208,12 +237,9 @@ class PairAction(_Value):
     _key = property(attrgetter("source"))
 
     def __init__(self, source: VertexPermutation):
-        object.__setattr__(self, "source", source)
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got n={self.n}")
-        object.__setattr__(
-            self, "index_map", _induced_index_map(self.source.images, self.n)
-        )
+        if source.n < 3:
+            raise ValueError(f"need n >= 3, got n={source.n}")
+        self._set(source=source, index_map=_induced_index_map(source.images, source.n))
 
     @property
     def n(self) -> int:
@@ -223,12 +249,6 @@ class PairAction(_Value):
 def induced_pair_action(sigma: VertexPermutation) -> PairAction:
     """The edge-position permutation induced by the vertex permutation sigma."""
     return PairAction(sigma)
-
-
-def _texts(values) -> list[str]:
-    """Each value's text, built once per distinct value object."""
-    text: dict[int, str] = {}
-    return [text.get(id(w)) or text.setdefault(id(w), str(w)) for w in values]
 
 
 def _check_enumerable(n: int, max_n: int) -> None:
@@ -282,7 +302,7 @@ def act(action: PairAction, x: EdgeVector) -> EdgeVector:
     """
     if action.n != x.n:
         raise ValueError(f"dimension mismatch: action has n={action.n}, vector n={x.n}")
-    return EdgeVector._from_exact(x.n, _scatter(x.weights, action.index_map))
+    return EdgeVector._from_ranks(x.n, x.levels, _scatter(x.ranks, action.index_map))
 
 
 def _orbit(points: Iterable[int], perms: list[tuple[int, ...]]) -> set[int]:

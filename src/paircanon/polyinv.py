@@ -21,7 +21,6 @@ from .pairgroup import (
     _check_enumerable,
     _exact,
     _group_table,
-    _texts,
 )
 
 
@@ -78,9 +77,9 @@ class Polynomial:
         # graded lex with x1 > x2 > ...: degree first, then the exponent tuple
         monos = sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
         lines = []
-        for mono, coeff in zip(monos, _texts(map(self.terms.get, monos))):
+        for mono in monos:
             factors = " ".join(f"x{i}^{e}" for i, e in enumerate(mono, start=1) if e)
-            lines.append(f"{coeff} * {factors or '1'}")
+            lines.append(f"{self.terms[mono]} * {factors or '1'}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -139,9 +138,9 @@ def classify_simple_graphs_n4() -> dict[tuple[Fraction, ...], list[EdgeVector]]:
             for mono, c in f.terms.items()
         ])
     groups: dict[tuple[int, ...], list[EdgeVector]] = {}
-    for edges, bits in enumerate(product((Fraction(0), Fraction(1)), repeat=6)):
+    for edges, bits in enumerate(product((0, 1), repeat=6)):
         key = tuple(sum(c for m, c in terms if m & edges == m) for terms in sums)
-        groups.setdefault(key, []).append(EdgeVector._from_exact(4, bits))
+        groups.setdefault(key, []).append(EdgeVector._from_bits(4, bytes(bits)))
     return {tuple(map(Fraction, key, dens)): members for key, members in groups.items()}
 
 

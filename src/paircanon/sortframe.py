@@ -21,10 +21,9 @@ class PointVector(_Value):
     _key = property(attrgetter("values"))
 
     def __init__(self, values):
-        values = tuple(_exact(v) for v in values)
-        if not values:
+        self._set(values=tuple(_exact(v) for v in values))
+        if not self.values:
             raise ValueError("empty vector")
-        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

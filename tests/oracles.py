@@ -182,7 +182,8 @@ def children_by_full_split(R, first, rest, twin_of):
 
 def ranks_by_sorting(weights):
     """Each weight's rank among the distinct values, and those values ascending,
-    by a plain sort: the reference for ``paircanon.frame._ranks``."""
+    by a plain sort: the reference for ``paircanon.pairgroup._rank``, which gives
+    every edge vector its ``ranks`` and ``levels``."""
     levels = sorted(set(weights))
     rank_of = {w: r for r, w in enumerate(levels)}
     return tuple(rank_of[w] for w in weights), levels

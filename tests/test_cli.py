@@ -517,6 +517,31 @@ def test_resource_errors_end_in_one_error_line(p4_file, capsys, monkeypatch, exc
     assert captured.err == f"error: {message}\n"
 
 
+def test_a_closed_stdout_exits_141_quietly():
+    # `aut` on the empty graph with 8 vertices prints 40,320 lines, far more
+    # than a pipe holds, so the write meets the reader's closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(paircanon.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "paircanon.cli", "aut", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdin.write(b"n 8\n")
+    proc.stdin.close()
+    assert proc.stdout.readline() == b"1 2 3 4 5 6 7 8\n"
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 141
+    assert err == b""
+
+
 def test_size_limit_exit_3(tmp_path, p4_file, capsys):
     path = write(tmp_path, "big.txt", "n 9\n1 2 1\n")
     assert main(["canon", "--engine", "brute", path]) == 3
@@ -546,7 +571,7 @@ def test_sizes_beyond_4300_digits_exit_3(tmp_path, capsys, monkeypatch, command,
     # |Aut| = 1600! and, for the trivial group, the orbit size 1600! have 4434
     # digits; the result is made without a search
     n = 1600
-    zeros = EdgeVector._from_exact(n, (Fraction(0),) * (n * (n - 1) // 2))
+    zeros = EdgeVector._from_ranks(n, (Fraction(0),), (0,) * (n * (n - 1) // 2))
     result = CanonResult(zeros, VertexPermutation(tuple(range(1, n + 1))), group)
     monkeypatch.setattr("paircanon.cli.canonical_form", lambda x, **options: result)
     assert main([command, "--json", write(tmp_path, "g.txt", f"n {n}\n")]) == 3

@@ -9,7 +9,6 @@ from paircanon.frame import (
     CanonResult,
     _children,
     _coset_leaders,
-    _ranks,
     _twin_classes,
     canonical_form,
     canonical_form_bruteforce,
@@ -296,9 +295,8 @@ def test_pruned_agrees_with_bruteforce_on_perturbed_twins_with_class_swaps():
 def _rank_matrix(x):
     """The rank matrix of the search, with a zero diagonal."""
     n = x.n
-    ranks, _ = _ranks(x)
     R = [[0] * n for _ in range(n)]
-    for (i, j), r in zip(combinations(range(n), 2), ranks):
+    for (i, j), r in zip(combinations(range(n), 2), x.ranks):
         R[i][j] = R[j][i] = r
     return R
 
@@ -353,7 +351,7 @@ def test_twin_only_group_at_500_vertices():
     # `n 500` plus one edge: the classes {1, 2} and {3..500} are all of Aut,
     # read off without a stabilizer chain of 124,251 transpositions
     n = 500
-    x = EdgeVector._from_exact(n, (Fraction(1),) + (Fraction(0),) * (n * (n - 1) // 2 - 1))
+    x = EdgeVector._from_ranks(n, (Fraction(0), Fraction(1)), (1,) + (0,) * (n * (n - 1) // 2 - 1))
     result = canonical_form_pruned(x)
     assert result.aut_order == 2 * math.factorial(498)
     assert len(result.generators) == 498

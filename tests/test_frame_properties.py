@@ -1,6 +1,6 @@
-"""Property tests of the search's weight ranks, generated by Hypothesis.
+"""Property tests of an edge vector's levels and ranks, generated by Hypothesis.
 
-``frame._ranks`` keys each weight by its (numerator, denominator) pair and
+``pairgroup._rank`` keys each weight by its (numerator, denominator) pair and
 sorts the distinct values on floor(w * 2^64), breaking a tie by ``Fraction``
 order.  A plain sort of the set of weights is the reference it must agree
 with, on weights that share objects, repeat a value in distinct objects, or
@@ -12,7 +12,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircanon.frame import _ranks
 from paircanon.pairgroup import EdgeVector
 
 from oracles import ranks_by_sorting
@@ -41,4 +40,4 @@ def edge_vectors(draw):
 @settings(deadline=None, database=None, max_examples=300)
 @given(edge_vectors())
 def test_ranks_match_a_plain_sort(x):
-    assert _ranks(x) == ranks_by_sorting(x.weights)
+    assert (x.ranks, list(x.levels)) == ranks_by_sorting(x.weights)

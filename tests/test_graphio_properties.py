@@ -22,7 +22,13 @@ from paircanon.graphio import (
 )
 from paircanon.pairgroup import EdgeVector, _exact
 
-from oracles import emit_weighted_by_pair, exact_by_fraction, pair_count, parse_weighted_by_line
+from oracles import (
+    emit_weighted_by_pair,
+    exact_by_fraction,
+    pair_count,
+    parse_weighted_by_line,
+    ranks_by_sorting,
+)
 
 # no example database: the runs leave no files behind
 PROPERTY = settings(
@@ -109,6 +115,8 @@ def test_parse_weighted_matches_the_line_by_line_reference(text):
     assert got == _outcome(parse_weighted_by_line, text)
     if got[0]:
         assert all(type(w) is Fraction for w in got[2])
+        x = parse_weighted(text)
+        assert (x.ranks, list(x.levels)) == ranks_by_sorting(x.weights)
 
 
 @pytest.mark.parametrize(

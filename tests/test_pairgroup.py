@@ -332,13 +332,15 @@ def test_vectors_built_without_coercion_equal_checked_ones():
     # already Fractions; the public constructor still checks everything
     from paircanon.frame import canonical_form_bruteforce, canonical_form_pruned
     from paircanon.graphio import emit_graph6, emit_weighted, parse_graph6, parse_weighted
+    from paircanon.polyinv import classify_simple_graphs_n4
 
     rng = random.Random(29)
+    built = []
     for n in (4, 6, 9):
         x = EdgeVector(n, random_rational_weights(rng, n * (n - 1) // 2))
         tau = induced_pair_action(VertexPermutation(random_permutation(rng, n)))
         simple = EdgeVector(n, tuple(int(w > 0) for w in x.weights))
-        built = [
+        built += [
             act(tau, x),
             parse_weighted(emit_weighted(x)),
             parse_graph6(emit_graph6(simple)),
@@ -346,9 +348,23 @@ def test_vectors_built_without_coercion_equal_checked_ones():
         ]
         if n <= 6:
             built.append(canonical_form_bruteforce(x).canonical)
-        for y in built:
-            assert y == EdgeVector(y.n, y.weights)
-            assert all(type(w) is Fraction for w in y.weights)
+    # single-level vectors (no edge, K4) and one value spelled three ways, with
+    # their relabelings and canonical forms under both engines
+    for x in [
+        parse_weighted("n 4\n"),
+        parse_graph6("C?"),
+        parse_graph6("C~"),
+        parse_weighted("n 3\n1 2 1/2\n1 3 2/4\n2 3 0.5\n"),
+        parse_weighted("n 4\n1 2 1/2\n2 4 2/4\n1 3 0.5\n"),
+    ]:
+        tau = induced_pair_action(VertexPermutation(random_permutation(rng, x.n)))
+        built += [x, act(tau, x), canonical_form_pruned(x).canonical,
+                  canonical_form_bruteforce(x).canonical]
+    built += [y for members in classify_simple_graphs_n4().values() for y in members]
+    for y in built:
+        assert y == EdgeVector(y.n, y.weights)
+        assert hash(y) == hash(EdgeVector(y.n, y.weights))
+        assert all(type(w) is Fraction for w in y.weights)
     with pytest.raises(TypeError):
         EdgeVector(3, (Fraction(1), 0.5, 0))
 
