@@ -148,12 +148,11 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     Row k of the result lists the weights from the vertex labelled k+1 to those
     labelled k+2..n.  The search state is an ordered partition of the vertices
     without a label: rows 0..k-1 are smallest only if labels k+1..n go to the
-    cells in order, so label k+1 goes to a member of the first cell.  Choosing
-    v splits every cell by the weight to v, ascending, which settles row k.
-    Only the siblings with the smallest row k survive, and they share that row;
-    a branch whose rows exceed the incumbent's is cut.  A row k below the
-    incumbent's makes the incumbent record the beaten prefix, with a value
-    above every row in each later row, so the first leaf beneath replaces it.
+    cells in order, so label k+1 goes to a member v of the first cell, which
+    settles row k.  Only the siblings with the least row k survive, and entering
+    one splits every cell by the weight to v, ascending.  The incumbent has rows
+    0..n-1, the last empty: a branch above it is cut, a row k below it becomes
+    its row k with top rows after, and a leaf replaces it when its rows are lower.
 
     A leaf whose rows equal the incumbent's gives an automorphism g, with
     g(incumbent's order[a]) = order[a].  The search then returns to the node
@@ -162,7 +161,7 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
     current parent: how many automorphisms it has examined, those among them
     that fix the labelled prefix, and the explored children closed under
     those, which are skipped.  Twins, found from the rank matrix first, share
-    a cell while unlabelled and give equal rows, so a node builds one child per
+    a cell while unlabelled and give equal rows, so a node has one child per
     class, and an explored child marks its class seen, closed under the fixing
     automorphisms, which map classes onto classes.  A partition whose every
     cell is one vertex or twins of one class, the root included, is a leaf:
@@ -179,19 +178,19 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
     order = [0] * n  # order[a] = original 0-based vertex given canonical label a+1
     top = (len(x.levels),)  # above every row, since every rank is below len(levels)
-    # rows of the incumbent, or of a prefix that beat it followed by top rows;
-    # at every node its first depth rows are the current branch's
-    best: list[tuple[int, ...]] = [top] * (n - 1)
-    best_order: list[int] | None = None  # the incumbent's first leaf, None for a prefix
+    # rows 0..n-1 of the incumbent (the last one empty), or of a prefix that beat
+    # it then top rows; at every node its first depth rows are the current branch's
+    best: list[tuple[int, ...]] = [top] * n
+    best_order: list[int] = []  # the incumbent's leaf
     twin_of = _twin_classes(R)  # each vertex's class of twins
     classes = [c for u, c in enumerate(twin_of) if c[0] == u]  # by first member
     automorphisms: list[tuple[int, ...]] = []  # those the search found
     # per depth: (automorphisms examined, those fixing the parent's prefix, the
     # children explored under the current parent closed under those)
     tried: list[tuple | None] = [None] * (n + 1)
-    stack = [(0, -1, [list(range(n))])]  # (depth, vertex labelled depth, cells after it)
+    stack = [(0, -1, [list(range(n))], ())]  # (depth, vertex labelled depth, parent's cells, row)
     while stack:
-        depth, v, cells = stack.pop()
+        depth, v, cells, row = stack.pop()
         if depth:
             count, fixing, seen = tried[depth]
             if count < len(automorphisms):
@@ -204,14 +203,13 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
             if stack and stack[-1][0] == depth:  # a sibling is left to skip
                 seen.update(_orbit(twin_of[v], fixing))
             order[depth - 1] = v
+            cells = _split(R, v, cells, row)
         if len(cells) == n - depth or len(classes) < n and all(
             all(twin_of[w] is twin_of[cell[0]] for w in cell) for cell in cells
         ):
             # every row is forced: the cells are vertices or twins
             tail = _complete(R, cells, depth, order)
-            # below a beaten prefix the first leaf wins by best_order, since
-            # at depth n-1 its tail is empty
-            if best_order is None or tail < best[depth:]:
+            if tail < best[depth:]:
                 best[depth:], best_order = tail, order.copy()
             elif tail == best[depth:]:
                 automorphisms.append(_scatter(order, [u + 1 for u in best_order]))
@@ -224,10 +222,9 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
         if least > best[depth]:
             continue
         if least < best[depth]:
-            best[depth:] = [least] + [top] * (n - 2 - depth)
-            best_order = None
+            best[depth:] = [least] + [top] * (n - 1 - depth)
         tried[depth + 1] = (0, [], set())
-        stack += [(depth + 1, u, child_cells) for u, child_cells in kept]
+        stack += [(depth + 1, u, cells, least) for u in kept]
 
     frame = _scatter(range(n), [u + 1 for u in best_order])
     return _result(x, tuple(chain.from_iterable(best)), frame, automorphisms, max_n, classes)
@@ -235,10 +232,9 @@ def canonical_form_pruned(x: EdgeVector, max_n: int = DEFAULT_MAX_N) -> CanonRes
 
 def _children(R: list[list[int]], cells: list[list[int]], twin_of: list[list[int]]):
     """The least row among the children of an ordered partition, one for the
-    last member of each twin class in the first cell, and the kept children,
-    which reach it, as (vertex, cells) in first-cell order.  Every child's row
-    comes first; only the kept children split their cells, and a cell whose
-    ranks in the least row are equal stays whole."""
+    last member of each twin class in the first cell, and the vertices whose
+    children reach it, in first-cell order.  A row lists the ranks to the other
+    unlabelled vertices, each cell's sorted; :func:`_split` builds a child's cells."""
     first, rest = cells[0], cells[1:]
     last = {twin_of[u][0]: u for u in first}
     # each row is led by Ru[u] = 0, the least rank, which [1] is above
@@ -256,27 +252,30 @@ def _children(R: list[list[int]], cells: list[list[int]], twin_of: list[list[int
                 least, kept = row, [u]
             elif row == least:
                 kept.append(u)
-    children = []
-    for u in kept:
-        Ru, child_cells, b = R[u], [], 1  # least[0] is u's own 0
-        for cell in filter(None, [[w for w in first if w != u]] + rest):
-            a, b = b, b + len(cell)
-            if least[a] == least[b - 1]:  # one rank to u: the cell stays whole
-                child_cells.append(cell)
-                continue
-            groups: dict[int, list[int]] = {r: [] for r in least[a:b]}  # ascending, as in row
-            for w in cell:
-                groups[Ru[w]].append(w)
-            child_cells += groups.values()
-        children.append((u, child_cells))
-    return tuple(least[1:]), children
+    return tuple(least[1:]), kept
+
+
+def _split(R: list[list[int]], u: int, cells: list[list[int]], row: tuple[int, ...]):
+    """The cells of the child labelling u with ``row`` from :func:`_children`: each
+    cell, u left out, split by the rank to u, ascending; one of one rank stays whole."""
+    Ru, child_cells, b = R[u], [], 0
+    for cell in filter(None, [[w for w in cells[0] if w != u]] + cells[1:]):
+        a, b = b, b + len(cell)
+        if row[a] == row[b - 1]:  # one rank to u: the cell stays whole
+            child_cells.append(cell)
+            continue
+        groups: dict[int, list[int]] = {r: [] for r in row[a:b]}  # ascending, as in row
+        for w in cell:
+            groups[Ru[w]].append(w)
+        child_cells += groups.values()
+    return child_cells
 
 
 def _complete(R: list[list[int]], cells: list[list[int]], depth: int, order: list[int]):
     """Label a partition of single vertices and twin cells in order, each cell's
-    last member first, into order[depth:], and return rows depth..n-2."""
+    last member first, into order[depth:]; return rows depth..n-1, the last empty."""
     order[depth:] = tail = [w for cell in cells for w in reversed(cell)]
-    return [tuple(map(R[u].__getitem__, tail[a + 1 :])) for a, u in enumerate(tail[:-1])]
+    return [tuple(map(R[u].__getitem__, tail[a + 1 :])) for a, u in enumerate(tail)]
 
 
 def _twin_classes(R: list[list[int]]) -> list[list[int]]:

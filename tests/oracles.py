@@ -162,10 +162,12 @@ def twin_classes(n, weights):
 
 def children_by_full_split(R, first, rest, twin_of):
     """Every child of the ordered partition [first, *rest] of a search over the
-    rank matrix R, as (row, vertex, cells), each row and cells built together:
-    the reference for ``paircanon.frame._children``.  A child labels the last
-    member of a twin class in ``first`` and splits each cell by the rank to it,
-    ascending; its row lists the ranks in the order of its cells."""
+    matrix R of ranks or weights, as (row, vertex, cells), built together:
+    the reference for ``paircanon.frame._children``, which finds the least row
+    and the vertices reaching it, composed with ``paircanon.frame._split``,
+    which builds such a child's cells.  A child labels the last member of a
+    twin class in ``first`` and splits each cell by the rank to it, ascending;
+    its row lists the ranks in the order of its cells."""
     children = []
     for u in first:
         if [w for w in first if twin_of[w] == twin_of[u]][-1] != u:
@@ -178,6 +180,43 @@ def children_by_full_split(R, first, rest, twin_of):
                 cells.append(group)
         children.append((tuple(row), u, cells))
     return children
+
+
+def minimizers_by_levels(x):
+    """The canonical vector of an edge vector and all its minimizers, ascending
+    in one-line order, by a level-synchronous refinement over the weights: the
+    second opinion on ``paircanon.frame.canonical_form_pruned`` where brute
+    force cannot run.
+
+    A node is a labelled prefix and an ordered partition of the other vertices.
+    Its children, from :func:`children_by_full_split` over the weight matrix
+    with every vertex its own class, label each member v of its first cell in
+    turn; a child's row lists v's weights to the other unlabelled vertices,
+    each cell's sorted, and every cell splits by the weight to v, ascending.
+    At each depth only the children whose row is that depth's least survive.
+    No node is merged or skipped, and no automorphism or twin is used, so the
+    final frontier holds every minimizer: |Aut| of them, the least one the frame."""
+    n = x.n
+    W = [[None] * n for _ in range(n)]
+    for (i, j), w in zip(combinations(range(n), 2), x.weights):
+        W[i][j] = W[j][i] = w
+    alone = [[u] for u in range(n)]
+    rows, frontier = [], [((), [list(range(n))])]
+    for _ in range(n):
+        children = [
+            (row, prefix + (v,), cells)
+            for prefix, (first, *rest) in frontier
+            for row, v, cells in children_by_full_split(W, first, rest, alone)
+        ]
+        rows.append(min(row for row, _, _ in children))
+        frontier = [(prefix, cells) for row, prefix, cells in children if row == rows[-1]]
+    minimizers = []
+    for order, _ in frontier:
+        images = [0] * n
+        for label, v in enumerate(order, start=1):
+            images[v] = label
+        minimizers.append(VertexPermutation(images))
+    return EdgeVector(n, [w for row in rows for w in row]), sorted(minimizers)
 
 
 def ranks_by_sorting(weights):

@@ -9,6 +9,7 @@ from paircanon.frame import (
     CanonResult,
     _children,
     _coset_leaders,
+    _split,
     _twin_classes,
     canonical_form,
     canonical_form_bruteforce,
@@ -30,7 +31,9 @@ from oracles import (
     all_simple_vectors,
     children_by_full_split,
     frame_coset_check,
+    generating_set_by_scan,
     lex_pairs,
+    minimizers_by_levels,
     naive_canonical,
     orbit_of,
     random_permutation,
@@ -344,7 +347,9 @@ def test_children_match_the_full_split_oracle():
         full = children_by_full_split(R, cells[0], cells[1:], twin_of)
         least = min(row for row, _, _ in full)
         kept = [(u, child_cells) for row, u, child_cells in full if row == least]
-        assert _children(R, cells, twin_of) == (least, kept), (weights, cells)
+        row, vertices = _children(R, cells, twin_of)
+        children = [(u, _split(R, u, cells, row)) for u in vertices]
+        assert (row, children) == (least, kept), (weights, cells)
 
 
 def test_twin_only_group_at_500_vertices():
@@ -383,6 +388,50 @@ def test_pruned_agrees_with_bruteforce_on_large_groups_n8(x, order):
     assert brute.canonical == pruned.canonical and brute.frame == pruned.frame
     assert brute.aut_order == pruned.aut_order == order
     assert brute.generators == pruned.generators
+
+
+def _edges_vector(n, edges):
+    """The simple graph on 0-based vertices 0..n-1 with the given edges."""
+    edges = {frozenset(e) for e in edges}
+    return EdgeVector(n, tuple(int({i, j} in edges) for i, j in combinations(range(n), 2)))
+
+
+def _oracle_inputs_n9_to_12():
+    rng = random.Random(101)
+    inputs = []
+    for n in (9, 10, 11, 12):
+        m = n * (n - 1) // 2
+        pool = rng.sample([Fraction(p, 3) for p in range(-4, 5)], 3)
+        inputs += [
+            EdgeVector(n, random_rational_weights(rng, m)),
+            EdgeVector(n, random_simple_weights(rng, m)),  # G(n, 1/2)
+            EdgeVector(n, tuple(rng.choice(pool) for _ in range(m))),  # three values
+            EdgeVector(n, twin_graph_weights(rng, n, 6)),  # weighted twins, |Aut| 48..1440
+            _edges_vector(n, [(v, rng.randrange(v)) for v in range(1, n)]),  # random recursive tree
+        ]
+    return inputs + [
+        _edges_vector(10, [(c + i, c + (i + 1) % 5) for c in (0, 5) for i in range(5)]),  # 2C5
+        _edges_vector(12, [(c + i, c + (i + 1) % 6) for c in (0, 6) for i in range(6)]),  # 2C6
+        _edges_vector(10, [(2 * i, 2 * i + 1) for i in range(5)]),  # the 5-pair matching
+        # a tree on which skipping children by an automorphism that moves the
+        # labelled prefix, not only by those fixing it, misses the least vector
+        _edges_vector(9, enumerate([0, 1, 0, 1, 3, 3, 2, 5], start=1)),
+    ]
+
+
+def test_pruned_agrees_with_the_level_oracle_n9_to_12():
+    # past brute force's reach: every minimizer, found level by level without
+    # automorphisms or twins, gives the vector, the frame, |Aut| (up to 3840
+    # here) and, through the scan's definition, the greedy generators
+    for x in _oracle_inputs_n9_to_12():
+        canonical, minimizers = minimizers_by_levels(x)
+        frame = minimizers[0]
+        automorphisms = [frame.inverse().compose(m) for m in minimizers]
+        assert all(act(induced_pair_action(g), x) == x for g in automorphisms), x
+        result = canonical_form_pruned(x)
+        assert result.canonical == canonical and result.frame == frame, x
+        assert result.aut_order == len(minimizers), x
+        assert list(result.generators) == generating_set_by_scan(automorphisms), x
 
 
 def test_bruteforce_hands_the_chain_one_element_per_coset():
