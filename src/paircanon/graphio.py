@@ -99,8 +99,7 @@ def parse_weighted(text: str) -> EdgeVector:
         numbers[s] = num
     if -1 in numbers:
         values.append(Fraction(0))  # number -1, the pairs not listed
-    rank_of, levels = _rank(values)
-    return EdgeVector._from_ranks(n, levels, tuple(map(rank_of.__getitem__, numbers)))
+    return EdgeVector._from_ranks(n, *_rank(numbers, values))
 
 
 def emit_weighted(x: EdgeVector) -> str:

@@ -156,12 +156,14 @@ class EdgeVector(_Value):
         self._set(n=index(n))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got n={self.n}")
-        weights = [_exact(w) for w in weights]
-        m = self.n * (self.n - 1) // 2
-        if len(weights) != m:
-            raise ValueError(f"expected {m} weights for n={self.n}, got {len(weights)}")
-        ranks, levels = _rank(weights)
-        self._set(levels=levels, ranks=tuple(ranks))
+        weights = tuple(weights)  # held while numbered, so no two inputs share an id
+        number_of: dict[int, int] = {}  # each input object's id -> its number, by first use
+        numbers = [number_of.setdefault(id(w), len(number_of)) for w in weights]
+        values = [_exact(w) for w in dict(zip(numbers, weights)).values()]  # by number
+        if len(numbers) != (m := self.n * (self.n - 1) // 2):
+            raise ValueError(f"expected {m} weights for n={self.n}, got {len(numbers)}")
+        levels, ranks = _rank(numbers, values)
+        self._set(levels=levels, ranks=ranks)
 
     @classmethod
     def _from_ranks(cls, n: int, levels: tuple, ranks: tuple[int, ...]) -> EdgeVector:
@@ -185,8 +187,8 @@ class EdgeVector(_Value):
         return itemgetter(*self.ranks)([str(w) for w in self.levels])
 
 
-def _rank(values: list[Fraction]) -> tuple[list[int], tuple[Fraction, ...]]:
-    """Each value's rank among the distinct values, and those values ascending."""
+def _rank(numbers: list[int], values: list[Fraction]) -> tuple[tuple[Fraction, ...], tuple]:
+    """The distinct ``values`` ascending, and the rank of values[k] for each k in ``numbers``."""
     # Fraction hashing and comparison run in Python: key by (numerator,
     # denominator) and sort on floor(w * 2^64) first, on Fraction order in a tie
     keys = [w.as_integer_ratio() for w in values]
@@ -194,7 +196,7 @@ def _rank(values: list[Fraction]) -> tuple[list[int], tuple[Fraction, ...]]:
     floors = [(p << 64) // q for p, q in distinct]
     _, levels, ordered = zip(*sorted(zip(floors, distinct.values(), distinct)))
     rank_of = dict(zip(ordered, range(len(ordered))))
-    return list(map(rank_of.__getitem__, keys)), levels
+    return levels, tuple(map([rank_of[k] for k in keys].__getitem__, numbers))
 
 
 def _scatter(values, index_map) -> tuple:

@@ -1,7 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -396,19 +397,40 @@ def _edges_vector(n, edges):
     return EdgeVector(n, tuple(int({i, j} in edges) for i, j in combinations(range(n), 2)))
 
 
-def _oracle_inputs_n9_to_12():
+def _tree_without_leaf_twins(rng, n):
+    """A random recursive tree on 0..n-1 whose leaves have distinct neighbours."""
+    while True:
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        degree = Counter(chain.from_iterable(edges))
+        hubs = [u if degree[v] == 1 else v for u, v in edges if 1 in (degree[u], degree[v])]
+        if len(hubs) == len(set(hubs)):
+            return edges
+
+
+def _oracle_inputs_n9_to_14():
     rng = random.Random(101)
     inputs = []
-    for n in (9, 10, 11, 12):
+    for n in (9, 10, 11, 12, 13, 14):
         m = n * (n - 1) // 2
         pool = rng.sample([Fraction(p, 3) for p in range(-4, 5)], 3)
         inputs += [
             EdgeVector(n, random_rational_weights(rng, m)),
             EdgeVector(n, random_simple_weights(rng, m)),  # G(n, 1/2)
             EdgeVector(n, tuple(rng.choice(pool) for _ in range(m))),  # three values
-            EdgeVector(n, twin_graph_weights(rng, n, 6)),  # weighted twins, |Aut| 48..1440
+            EdgeVector(n, twin_graph_weights(rng, n, 6)),  # weighted twins, |Aut| 48..6912
             _edges_vector(n, [(v, rng.randrange(v)) for v in range(1, n)]),  # random recursive tree
         ]
+        if n >= 13:
+            t = n // 3  # the comb's spine 0..t-1, then its tail 3t..n-1
+            teeth = [(s, s + t) for s in range(t)] + [(s + t, s + 2 * t) for s in range(t)]
+            spine = [*range(t), *range(3 * t, n)]
+            inputs += [
+                # leaves hanging off a 3-vertex spine: |Aut| a product of factorials
+                _edges_vector(n, [(0, 1), (1, 2)] + [(v, rng.randrange(3)) for v in range(3, n)]),
+                # a comb: spine vertex s's private neighbour s + t carries the leaf s + 2t
+                _edges_vector(n, [*zip(spine, spine[1:]), *teeth]),
+                _edges_vector(n, _tree_without_leaf_twins(rng, n)),
+            ]
     return inputs + [
         _edges_vector(10, [(c + i, c + (i + 1) % 5) for c in (0, 5) for i in range(5)]),  # 2C5
         _edges_vector(12, [(c + i, c + (i + 1) % 6) for c in (0, 6) for i in range(6)]),  # 2C6
@@ -419,11 +441,11 @@ def _oracle_inputs_n9_to_12():
     ]
 
 
-def test_pruned_agrees_with_the_level_oracle_n9_to_12():
+def test_pruned_agrees_with_the_level_oracle_n9_to_14():
     # past brute force's reach: every minimizer, found level by level without
-    # automorphisms or twins, gives the vector, the frame, |Aut| (up to 3840
+    # automorphisms or twins, gives the vector, the frame, |Aut| (up to 6912
     # here) and, through the scan's definition, the greedy generators
-    for x in _oracle_inputs_n9_to_12():
+    for x in _oracle_inputs_n9_to_14():
         canonical, minimizers = minimizers_by_levels(x)
         frame = minimizers[0]
         automorphisms = [frame.inverse().compose(m) for m in minimizers]

@@ -2,12 +2,15 @@ import math
 import random
 import re
 import time
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from paircanon import pairgroup
+from paircanon.graphio import parse_weighted
 from paircanon.pairgroup import (
     EdgeVector,
     GroupSizeError,
@@ -152,6 +155,92 @@ def test_edge_vector_exact_literals():
     assert x.weights[1] == Fraction(1, 4)
     assert not is_simple(x)
     assert is_simple(EdgeVector(4, (1, 0, 0, 1, 0, 1)))
+
+
+#: values with several spellings each: int, Fraction, Decimal and strings
+_SPELLINGS = {
+    Fraction(0): [0, "0", "-0", "0/7", Decimal("0"), Decimal("-0.00"), Fraction(0)],
+    Fraction(1): [1, "1", "1.0", "3/3", Decimal("1"), Fraction(3, 3)],
+    Fraction(-3): [-3, "-3", "-6/2", "-3e0", Decimal("-3.00"), Fraction(-3)],
+    Fraction(1, 2): ["1/2", "0.5", "2/4", Decimal("0.5"), Decimal("0.50"), Fraction(1, 2)],
+    Fraction(7, 4): ["7/4", "1.75", "175e-2", Decimal("1.75"), Fraction(7, 4)],
+    Fraction(-1, 3): ["-1/3", "-2/6", Fraction(-1, 3)],
+}
+
+
+def test_edge_vectors_from_values_follow_the_parsers_rule(monkeypatch):
+    # each distinct input object is converted once and the distinct values
+    # ranked once, as parse_weighted converts each distinct literal: equal
+    # values spelled differently, and one object at many pairs, give the
+    # vector of a text that spells every value as p/q
+    converted, original = [], pairgroup._exact
+
+    def exact(value):
+        converted.append(id(value))  # not the value, which would keep it alive
+        return original(value)
+
+    monkeypatch.setattr(pairgroup, "_exact", exact)
+    rng = random.Random(30)
+    for n in range(3, 13):
+        m = n * (n - 1) // 2
+        pool = rng.sample(sorted(_SPELLINGS), rng.randint(1, len(_SPELLINGS)))
+        shared = [rng.choice(_SPELLINGS[v]) for v in pool]  # each met at many pairs
+        values = [rng.choice(pool) for _ in range(m)]
+        inputs = [
+            shared[pool.index(v)] if rng.random() < 0.5 else rng.choice(_SPELLINGS[v])
+            for v in values
+        ]
+        scale = rng.randint(1, 3)
+        text = f"n {n}\n" + "".join(
+            f"{i} {j} {scale * v.numerator}/{scale * v.denominator}\n"
+            for (i, j), v in zip(lex_pairs(n), values)
+            if v or rng.random() < 0.5
+        )
+        del converted[:]
+        x = EdgeVector(n, inputs)
+        assert len(converted) == len(set(converted)) == len({id(w) for w in inputs})
+        assert x == parse_weighted(text), text
+        assert x.levels == tuple(sorted(set(values)))
+        assert all(type(w) is Fraction for w in x.levels)
+        # fresh objects from a generator, each gone once numbered unless held:
+        # an id reused by a later input must not number it as the earlier one
+        assert EdgeVector(n, (Fraction(v) for v in values)) == x
+        assert EdgeVector(n, (str(v) for v in values)) == x
+        assert EdgeVector(n, (f"{k}/7" for k in range(m))).ranks == tuple(range(m))
+
+
+@pytest.mark.parametrize(
+    "weights, error, message",
+    [
+        ((0.5,), TypeError, "float weights are not accepted"),  # not the length error
+        (("x", [1], 0), ValueError, "not an exact rational literal: 'x'"),
+        (([1], 0, 0), TypeError, "argument should be a string or a Rational instance"),
+        ((Decimal("sNaN"), 0, 0), ValueError, re.escape("literal: Decimal('sNaN')")),
+        (({}, 0, 0), TypeError, "Rational instance"),  # an unhashable input
+        ((0, 0), ValueError, "expected 3 weights for n=3, got 2"),
+    ],
+    ids=["float-first", "first-bad-literal", "list", "sNaN", "dict", "length"],
+)
+def test_edge_vector_errors_keep_their_type_message_and_order(weights, error, message):
+    # the inputs are converted in order, each once, before the length check
+    with pytest.raises(error, match=message):
+        EdgeVector(3, weights)
+
+
+def test_edge_vector_from_repeated_values_allocates_per_distinct_input():
+    # n = 1000 and one edge: two input objects, converted once each; the
+    # inputs held while numbered, the numbers and the ranks take 8 bytes a
+    # pair each (12 MB in all), where a Fraction and a (numerator,
+    # denominator) tuple per pair took 61.5 MB
+    weights = [1] + [0] * 499499
+    tracemalloc.start()
+    try:
+        x = EdgeVector(1000, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.levels == (0, 1) and x.ranks[:2] == (1, 0)
+    assert peak < 20 << 20
 
 
 # ------------------------------------------------------ induced_pair_action
